@@ -101,7 +101,7 @@ class ExperimentConfig:
     trace_scale: float = 1.0  # post-generation thinning factor (<= 1)
     trace_seed: int | None = None  # pin the workload seed (default: seed)
     custom_app: Application | None = None
-    custom_trace: Trace | ArrivalSource | None = None
+    custom_trace: ArrivalSource | None = None
     registry: ProfileRegistry = field(default_factory=lambda: DEFAULT_PROFILES)
 
     def __post_init__(self) -> None:
@@ -116,7 +116,7 @@ class ExperimentConfig:
             app = Application(spec=app.spec, slo=self.slo)
         return app
 
-    def resolve_trace(self) -> Trace | ArrivalSource:
+    def resolve_trace(self) -> ArrivalSource:
         if self.custom_trace is not None:
             return self.custom_trace
         trace = get_trace(
@@ -132,7 +132,7 @@ class ExperimentConfig:
         return self.seed if self.trace_seed is None else self.trace_seed
 
     def resolve_workers(
-        self, trace: Trace | ArrivalSource | None = None
+        self, trace: ArrivalSource | None = None
     ) -> int | dict[str, int]:
         """Explicit worker counts, or a plan provisioned for the trace.
 
@@ -222,7 +222,7 @@ class ExperimentResult:
     collector: MetricsCollector
     summary: Summary
     cluster: Cluster
-    trace: Trace | ArrivalSource
+    trace: ArrivalSource
     failure_log: list[str] = field(default_factory=list)
     #: Structured fault timeline (the source of ``failure_log``'s rendered
     #: strings), exportable via ``repro.metrics.export.fault_table``.
@@ -239,7 +239,7 @@ class ExperimentResult:
 def build_cluster(
     config: ExperimentConfig,
     policy: DropPolicy,
-    trace: Trace | ArrivalSource | None = None,
+    trace: ArrivalSource | None = None,
     lean: bool = False,
     goodput: GoodputSpec | None = None,
     router: PathRouter | None = None,
@@ -254,7 +254,8 @@ def build_cluster(
     :class:`~repro.simulation.resilience.HopResilience` policies.
     """
     app = config.resolve_app()
-    trace = trace or config.resolve_trace()
+    if trace is None:
+        trace = config.resolve_trace()
     plan = plan_batch_sizes(app.spec, config.registry, app.slo)
     workers = config.resolve_workers(trace)
     sim = Simulator()
@@ -283,7 +284,7 @@ def run_experiment(
     policy: DropPolicy | str | PolicySpec,
     failures: Sequence[FailureEvent] = (),
     scaling: ScalingSpec | None = None,
-    trace: Trace | ArrivalSource | None = None,
+    trace: ArrivalSource | None = None,
     lean: bool = False,
     goodput: GoodputSpec | None = None,
     router: PathRouter | None = None,
@@ -384,23 +385,10 @@ def run_scenario(scenario: Scenario, lean: bool = False) -> ExperimentResult:
     """
     scenario.validate()
     config = scenario_config(scenario)
-    if scenario.trace.is_lazy():
-        # Lazy workloads (file-backed or stream=True) never materialize:
-        # provisioning sees the base source through one counting pass and
-        # replay pulls the composed source chunk by chunk.
-        base: Trace | ArrivalSource = scenario.trace.build_source_base(
-            config.resolve_base_rate(), default_seed=scenario.seed
-        )
-        trace: Trace | ArrivalSource = scenario.trace.overlay_source(
-            base, default_seed=scenario.seed
-        )
-    else:
-        # The shim carries the full trace declaration (name, args, scale,
-        # seed), so the base workload comes from the same resolve_trace
-        # path calibration measures; only the burst overlays are
-        # scenario-level.
-        base = config.resolve_trace()
-        trace = scenario.trace.overlay(base, default_seed=scenario.seed)
+    base = scenario.trace.build_base(
+        config.resolve_base_rate(), default_seed=scenario.seed
+    )
+    trace = scenario.trace.overlay(base, default_seed=scenario.seed)
     if (config.workers is None and config.utilization is None
             and config.provision_rate is None and base.mean_rate > 0):
         # Auto-provisioning sizes the cluster for the steady workload;
@@ -437,7 +425,7 @@ class MultiResult:
     collectors: dict[str, MetricsCollector]
     aggregate: Summary
     cluster: SharedCluster
-    traces: dict[str, Trace | ArrivalSource]
+    traces: dict[str, ArrivalSource]
     failure_log: list[str] = field(default_factory=list)
     #: Structured fault timeline (the source of ``failure_log``).
     fault_records: list = field(default_factory=list)
@@ -452,28 +440,19 @@ class MultiResult:
 
 def _tenant_workload(
     scenario: Scenario, seed: int, weight: float
-) -> "tuple[Trace | ArrivalSource, Trace | ArrivalSource]":
+) -> tuple[ArrivalSource, ArrivalSource]:
     """(base workload, composed workload) for one tenant.
 
     Mirrors :func:`run_scenario`'s trace path exactly — same generator,
     args, scale and overlay order — so a tenant served alone and the same
     tenant on an uncontended shared cluster replay the identical workload.
     ``weight`` scales the declared base rate; ``seed`` is the effective
-    (shared-seed-shifted) tenant seed.  Lazy tenant traces (file-backed
-    or ``stream=True``) come back as streaming sources.
+    (shared-seed-shifted) tenant seed.
     """
-    config = scenario_config(scenario)
-    config.seed = seed
-    if weight != 1.0:
-        config.base_rate = config.base_rate * weight
-    if scenario.trace.is_lazy():
-        base: Trace | ArrivalSource = scenario.trace.build_source_base(
-            config.base_rate, default_seed=seed
-        )
-        return base, scenario.trace.overlay_source(base, default_seed=seed)
-    base = config.resolve_trace()
-    trace = scenario.trace.overlay(base, default_seed=seed)
-    return base, trace
+    base = scenario.trace.build_base(
+        scenario_config(scenario).base_rate * weight, default_seed=seed
+    )
+    return base, scenario.trace.overlay(base, default_seed=seed)
 
 
 def _provision_pools(
@@ -516,7 +495,7 @@ def run_multi_scenario(multi: MultiScenario, lean: bool = False) -> MultiResult:
     multi.validate()
     registry = multi.build_registry()
     tenants: list[Tenant] = []
-    traces: dict[str, Trace | ArrivalSource] = {}
+    traces: dict[str, ArrivalSource] = {}
     base_rates: dict[str, float] = {}
     for tenant_spec in multi.tenants:
         s = tenant_spec.scenario

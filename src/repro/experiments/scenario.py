@@ -41,7 +41,6 @@ from ..simulation.resilience import HopResilience
 from ..simulation.routing import PathRouter, ProbabilisticRouter, StaticRouter
 from ..workload.generators import TRACES, get_trace, stream_trace
 from ..workload.source import ArrivalSource, FileSource
-from ..workload.trace import Trace
 
 __all__ = [
     "AppSpec",
@@ -191,8 +190,8 @@ def _check_provision_targets(
 class BurstSpec:
     """Rate overlay: multiply arrivals by ``factor`` over one window.
 
-    Applied via :meth:`repro.workload.trace.Trace.overlay_burst`; with
-    ``factor > 1`` this is the "workload burst" the paper motivates
+    Applied via :meth:`~repro.workload.source.ArrivalSource.overlay_burst`;
+    with ``factor > 1`` this is the "workload burst" the paper motivates
     proactive dropping with, declared instead of hand-built.
     """
 
@@ -237,9 +236,9 @@ class TraceSpec:
     scenario seed.  ``args`` are extra generator keywords (e.g. tweet's
     ``burst_at``), ``scale`` thins the generated trace (<= 1) and
     ``bursts`` overlay rate multipliers — so a "composed" trace is data,
-    not a live :class:`~repro.workload.trace.Trace` object.
+    not a live :class:`~repro.workload.source.ArrivalSource` object.
 
-    Two lazy forms extend the generator declaration:
+    Two forms extend the generator declaration:
 
     - ``path`` replays an on-disk arrival log (CSV or JSONL, see
       :class:`~repro.workload.source.FileSource`) instead of generating;
@@ -251,7 +250,7 @@ class TraceSpec:
     - ``stream=True`` generates the named trace as a windowed streaming
       source (:func:`~repro.workload.generators.stream_trace`) — flat
       memory for arbitrarily long workloads, statistically equivalent to
-      but a *different realization* than the eager generator.
+      but a *different realization* than the generated trace.
 
     New keys are serialized only when set, so the fingerprint of every
     pre-existing generator spec is unchanged.
@@ -319,44 +318,16 @@ class TraceSpec:
                     f"{self.duration}"
                 )
 
-    def is_lazy(self) -> bool:
-        """True when the workload replays as a streaming source."""
-        return self.stream or self.path is not None
-
-    def build_base(self, base_rate: float, default_seed: int = 0) -> Trace:
-        """The declared steady workload: generator args + thinning.
-
-        Bursts are deliberately excluded — they are the "unpredictable
-        events" layered on top, and provisioning must not see them.
-        File-backed traces materialize their stream here.
-        """
-        if self.path is not None:
-            return self.build_source_base(
-                base_rate, default_seed
-            ).materialize(self.name)
-        if self.name not in TRACES:
-            raise KeyError(
-                f"unknown trace {self.name!r}; known: {sorted(TRACES)}"
-            )
-        seed = self.seed if self.seed is not None else default_seed
-        kwargs = {k: _thaw(v) for k, v in self.args}
-        trace = get_trace(
-            self.name, base_rate=base_rate, duration=self.duration,
-            seed=seed, **kwargs,
-        )
-        if self.scale != 1.0:
-            trace = trace.scaled(self.scale)
-        return trace
-
-    def build_source_base(
+    def build_base(
         self, base_rate: float, default_seed: int = 0
     ) -> ArrivalSource:
-        """The steady workload as a lazy source (bursts excluded).
+        """The declared steady workload: generator args + thinning.
 
-        The streaming counterpart of :meth:`build_base`: a file replay
-        for ``path`` specs, a windowed :func:`~repro.workload.generators.
-        stream_trace` otherwise, with the declared thinning composed on
-        top as a streaming transform.
+        A file replay for ``path`` specs, a windowed
+        :func:`~repro.workload.generators.stream_trace` for
+        ``stream=True``, the generated trace otherwise.  Bursts are
+        deliberately excluded — they are the "unpredictable events"
+        layered on top, and provisioning must not see them.
         """
         if self.path is not None:
             source: ArrivalSource = FileSource(
@@ -366,7 +337,8 @@ class TraceSpec:
         else:
             seed = self.seed if self.seed is not None else default_seed
             kwargs = {k: _thaw(v) for k, v in self.args}
-            source = stream_trace(
+            build = stream_trace if self.stream else get_trace
+            source = build(
                 self.name, base_rate=base_rate, duration=self.duration,
                 seed=seed, **kwargs,
             )
@@ -374,20 +346,10 @@ class TraceSpec:
             source = source.scaled(self.scale)
         return source
 
-    def overlay(self, trace: Trace, default_seed: int = 0) -> Trace:
-        """Apply the declared burst overlays to an already-built trace."""
-        seed = self.seed if self.seed is not None else default_seed
-        for burst in self.bursts:
-            trace = trace.overlay_burst(
-                burst.start, burst.length, burst.factor, seed=burst.seed + seed
-            )
-        return trace
-
-    def overlay_source(
+    def overlay(
         self, source: ArrivalSource, default_seed: int = 0
     ) -> ArrivalSource:
-        """Burst overlays as streaming transforms (byte-identical to the
-        eager :meth:`overlay` on the same arrivals)."""
+        """Apply the declared burst overlays to an already-built workload."""
         seed = self.seed if self.seed is not None else default_seed
         for burst in self.bursts:
             source = source.overlay_burst(
@@ -395,18 +357,12 @@ class TraceSpec:
             )
         return source
 
-    def build(self, base_rate: float, default_seed: int = 0) -> Trace:
-        """Generate the composed trace at ``base_rate``."""
-        return self.overlay(
-            self.build_base(base_rate, default_seed), default_seed
-        )
-
-    def build_source(
+    def build(
         self, base_rate: float, default_seed: int = 0
     ) -> ArrivalSource:
-        """The composed workload as a lazy source (overlays included)."""
-        return self.overlay_source(
-            self.build_source_base(base_rate, default_seed), default_seed
+        """The composed workload at ``base_rate`` (overlays included)."""
+        return self.overlay(
+            self.build_base(base_rate, default_seed), default_seed
         )
 
     def to_dict(self) -> dict:
@@ -991,7 +947,7 @@ class Scenario:
     def build_registry(self) -> ProfileRegistry:
         return self.app.build_registry()
 
-    def build_trace(self, base_rate: float) -> Trace:
+    def build_trace(self, base_rate: float) -> ArrivalSource:
         return self.trace.build(base_rate, default_seed=self.seed)
 
     # -- serialisation -----------------------------------------------------

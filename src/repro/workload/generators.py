@@ -17,9 +17,8 @@ from typing import Callable
 
 import numpy as np
 
+from .source import ArrivalSource, ConstantSource, GeneratorSource, RateFn
 from .trace import Trace
-
-RateFn = Callable[[np.ndarray], np.ndarray]
 
 #: Name -> generator registry.  Every generator accepts ``base_rate``,
 #: ``duration``, ``seed`` and ``name`` keywords so scenarios can declare a
@@ -99,8 +98,8 @@ def constant_trace(
 #: Name -> rate-envelope builder ``(base_rate, duration, seed, **kwargs)
 #: -> (rate_fn, peak_rate)``.  The envelope is the deterministic part of
 #: a generator (its shape parameters draw from their own seeded rng);
-#: eager generation samples it via Lewis-Shedler thinning, streaming
-#: generation via windowed regeneration — one envelope, two samplers.
+#: a generated :class:`Trace` samples it via Lewis-Shedler thinning, a
+#: streaming source via windowed regeneration — one envelope, two samplers.
 ENVELOPES: dict[str, Callable[..., tuple[RateFn, float]]] = {}
 
 
@@ -347,20 +346,18 @@ def stream_trace(
     *,
     window: float = 16.0,
     **kwargs,
-):
+) -> ArrivalSource:
     """Build a registered trace as a lazy :class:`~repro.workload.source.
     ArrivalSource` instead of a materialized :class:`Trace`.
 
-    ``constant`` streams byte-identically to its eager form (no RNG);
+    ``constant`` streams byte-identically to its generated form (no RNG);
     every envelope-backed generator (``poisson``/``wiki``/``tweet``/
     ``azure``/``step``) streams via windowed regeneration — the same
     inhomogeneous Poisson process, a different (seed-deterministic)
     realization.  Registered generators without an envelope fall back to
-    materializing once and streaming the result, so the contract is
-    total over the registry.
+    the generated :class:`Trace` itself, so the contract is total over
+    the registry.
     """
-    from .source import ConstantSource, GeneratorSource, TraceSource
-
     if name == "constant":
         return ConstantSource(rate=base_rate, duration=duration, name=name)
     envelope = ENVELOPES.get(name)
@@ -369,9 +366,7 @@ def stream_trace(
             raise KeyError(
                 f"unknown trace {name!r}; known: {sorted(TRACES)}"
             )
-        return TraceSource(
-            get_trace(name, base_rate, duration, seed=seed, **kwargs)
-        )
+        return get_trace(name, base_rate, duration, seed=seed, **kwargs)
     rate_fn, peak = envelope(
         base_rate=base_rate, duration=duration, seed=seed, **kwargs
     )

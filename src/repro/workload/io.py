@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .source import read_arrivals, read_header
 from .trace import Trace
 
 
@@ -27,31 +28,7 @@ def load_trace_csv(path: str | Path, name: str | None = None,
                    duration: float | None = None) -> Trace:
     """Read a CSV trace written by :func:`save_trace_csv` (or any file with
     one timestamp per line; ``#`` lines are ignored)."""
-    p = Path(path)
-    header_duration: float | None = None
-    header_name: str | None = None
-    arrivals: list[float] = []
-    for line in p.read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            for token in line[1:].split():
-                if token.startswith("duration="):
-                    header_duration = float(token.split("=", 1)[1])
-                elif token.startswith("trace="):
-                    header_name = token.split("=", 1)[1]
-            continue
-        arrivals.append(float(line))
-    arr = np.asarray(sorted(arrivals))
-    final_duration = duration or header_duration
-    if final_duration is None:
-        final_duration = float(arr[-1]) + 1e-9 if arr.size else 0.0
-    return Trace(
-        name=name or header_name or p.stem,
-        arrivals=arr,
-        duration=final_duration,
-    )
+    return _load(Path(path), False, name, duration)
 
 
 def save_trace_jsonl(trace: Trace, path: str | Path) -> None:
@@ -72,33 +49,22 @@ def load_trace_jsonl(path: str | Path, name: str | None = None,
                      duration: float | None = None) -> Trace:
     """Read a JSONL trace written by :func:`save_trace_jsonl` (arrivals
     are sorted, so unordered logs load too)."""
-    header_name: str | None = None
-    header_duration: float | None = None
-    arrivals: list[float] = []
-    with Path(path).open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            value = json.loads(line)
-            if isinstance(value, dict) and "t" not in value:
-                if lineno != 1:
-                    raise ValueError(
-                        f"{path}:{lineno}: arrival object missing 't'"
-                    )
-                header_name = value.get("name")
-                if value.get("duration") is not None:
-                    header_duration = float(value["duration"])
-                continue
-            arrivals.append(
-                float(value["t"]) if isinstance(value, dict) else float(value)
-            )
-    arr = np.asarray(sorted(arrivals))
+    return _load(Path(path), True, name, duration)
+
+
+def _load(path: Path, jsonl: bool, name: str | None,
+          duration: float | None) -> Trace:
+    """Materialize a trace file with :class:`~repro.workload.source.
+    FileSource`'s parser, sorting the arrivals."""
+    header_name, header_duration = read_header(path, jsonl)
+    arr = np.sort(np.fromiter(
+        (t for _, t in read_arrivals(path, jsonl)), dtype=np.float64
+    ))
     final_duration = duration or header_duration
     if final_duration is None:
         final_duration = float(arr[-1]) + 1e-9 if arr.size else 0.0
     return Trace(
-        name=name or header_name or Path(path).stem,
+        name=name or header_name or path.stem,
         arrivals=arr,
         duration=final_duration,
     )

@@ -1,14 +1,12 @@
-"""Replay a workload — eager trace or streaming source — into a cluster.
+"""Replay an arrival source into a cluster.
 
-The pre-PR-8 replay materialized every arrival into the event heap before
-the simulation started: O(n) heap memory and O(n log n) setup before the
-first event fired.  :class:`ArrivalPump` replaces that with *one* pending
-heap event per workload: when it fires, the request is submitted and the
-next arrival is pulled from the iterator.  The pump schedules through an
-engine arrival lane (:meth:`~repro.simulation.engine.Simulator.open_lane`),
-whose reserved sequence-number block reproduces the eager tie-breaking
-exactly — so lazy replay is byte-identical to the old materialized replay
-on every committed golden.
+:class:`ArrivalPump` keeps *one* pending heap event per workload: when
+it fires, the request is submitted and the next arrival is pulled from
+the iterator, so a replay never pre-schedules the whole workload.  The
+pump schedules through an engine arrival lane
+(:meth:`~repro.simulation.engine.Simulator.open_lane`), whose reserved
+sequence-number block gives every arrival the tie-breaking slot it
+would hold had all arrivals been scheduled up front.
 """
 
 from __future__ import annotations
@@ -17,17 +15,17 @@ from typing import Callable, Iterable
 
 from ..simulation.cluster import Cluster
 from ..simulation.engine import ArrivalLane
-from .trace import Trace
+from .source import ArrivalSource
 
 
 class ArrivalPump:
     """Drives one sorted arrival stream into a cluster, one event at a time.
 
-    ``arrivals`` is anything iterable over ascending times (a
-    :class:`Trace`, an :class:`~repro.workload.source.ArrivalSource`, a
-    plain list); ``submit`` is called with the arrival time when its
-    event fires.  The lane enforces monotonicity, so an unsorted stream
-    fails loudly instead of silently reordering.
+    ``arrivals`` is anything iterable over ascending times (an
+    :class:`~repro.workload.source.ArrivalSource` or a plain list);
+    ``submit`` is called with the arrival time when its event fires.
+    The lane enforces monotonicity, so an unsorted stream fails loudly
+    instead of silently reordering.
     """
 
     __slots__ = ("_it", "_submit", "_lane", "submitted")
@@ -60,17 +58,15 @@ class ArrivalPump:
         self._advance()
 
 
-def replay(trace: "Trace | Iterable[float]", cluster: Cluster,
+def replay(trace: ArrivalSource, cluster: Cluster,
            drain: float = 5.0) -> None:
     """Stream every arrival into the cluster and run to completion.
 
-    Works identically for an eager :class:`Trace` and a lazy
-    :class:`~repro.workload.source.ArrivalSource` — both iterate sorted
-    times and carry a ``duration``.  The simulation runs with
-    control-plane ticks until ``duration + drain``; the ticks are then
-    cancelled and the event queue drained so every in-flight request
-    reaches a terminal state and is accounted in the metrics (backlogged
-    queues under the Naive policy can far outlive the trace).
+    The simulation runs with control-plane ticks until
+    ``duration + drain``; the ticks are then cancelled and the event
+    queue drained so every in-flight request reaches a terminal state
+    and is accounted in the metrics (backlogged queues under the Naive
+    policy can far outlive the trace).
     """
     if drain < 0:
         raise ValueError("drain must be >= 0")

@@ -1,39 +1,38 @@
-"""Streaming arrival sources: lazy, re-iterable, flat-memory workloads.
+"""Arrival sources: lazy, re-iterable, composable workloads.
 
-An :class:`ArrivalSource` is the streaming counterpart of an eager
-:class:`~repro.workload.trace.Trace`: an ordered stream of request
-send-times generated (or read from disk) in bounded chunks, so a
-million-request workload replays in O(chunk) memory instead of one
-materialized array plus one pre-scheduled heap event per arrival.
+An :class:`ArrivalSource` is an ordered stream of request send-times
+produced in bounded chunks.  It is the one arrival type: a
+:class:`~repro.workload.trace.Trace` is the source held in memory,
+while the generator and file sources here produce their arrivals on
+demand, so a million-request workload replays in O(chunk) memory.
 
 Sources are *re-iterable* and deterministic: every ``chunks()`` call
 restarts generation from the seed, so a source can be counted for
 provisioning, then replayed, then counted again, always yielding the
 same stream.  Transforms (thinning, burst overlays, slicing, concat,
-splice) compose lazily and — where the eager :class:`Trace` method has
-an RNG — consume random draws in the same order, so a streamed
-transform of a materialized trace is *byte-identical* to the eager
-method (numpy's PCG64 fills ``random(k1)`` then ``random(k2)`` exactly
-like one ``random(k1+k2)`` call).
+splice) compose lazily on any source, in memory or not.
 
-Synthetic generation itself cannot replicate the eager Lewis-Shedler
-draw order without materializing, so :class:`GeneratorSource` is a
-distinct, explicitly opt-in mode: each fixed window regenerates from
-``default_rng([seed, stable_hash(name), window_index])`` — statistically
-exact (Poisson processes are independent across disjoint windows) and
-seekable, but a different realization than the eager generator.
+:class:`GeneratorSource` regenerates each fixed window from
+``default_rng([seed, stable_hash(name), window_index])`` —
+statistically the inhomogeneous Poisson process of the registered
+generators (Poisson processes are independent across disjoint
+windows) and seekable, but a different realization than a generated
+:class:`Trace`, which is why streaming generation is opt-in.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from ..simulation.rng import stable_hash
-from .trace import Trace
+
+if TYPE_CHECKING:
+    from .trace import Trace
 
 #: Arrivals held in memory per generation step (not a correctness knob).
 CHUNK = 8192
@@ -42,17 +41,17 @@ RateFn = Callable[[np.ndarray], np.ndarray]
 
 
 class ArrivalSource:
-    """A lazy, re-iterable stream of sorted arrival times in seconds.
+    """A re-iterable stream of sorted arrival times in seconds.
 
     Subclasses implement :meth:`chunks`, yielding sorted float64 arrays
     that are globally nondecreasing across chunk boundaries.  Everything
     else — iteration, counting, materialization, composition — is
-    shared.
+    shared.  ``duration`` is the horizon in seconds (``>= 0``).
     """
 
     def __init__(self, name: str, duration: float) -> None:
-        if duration <= 0:
-            raise ValueError("source duration must be > 0")
+        if duration < 0:
+            raise ValueError("source duration must be >= 0")
         self.name = name
         self.duration = float(duration)
         self._count: int | None = None
@@ -73,11 +72,16 @@ class ArrivalSource:
 
     @property
     def mean_rate(self) -> float:
-        """Average requests/second (triggers one counting pass)."""
+        """Average requests/second (triggers one counting pass); 0 over
+        an empty horizon."""
+        if self.duration <= 0:
+            return 0.0
         return self.count() / self.duration
 
-    def materialize(self, name: str | None = None) -> Trace:
-        """Collect the whole stream into an eager :class:`Trace` (O(n))."""
+    def materialize(self, name: str | None = None) -> "Trace":
+        """Collect the whole stream into an in-memory :class:`Trace`."""
+        from .trace import Trace
+
         parts = list(self.chunks())
         arrivals = (
             np.concatenate(parts) if parts else np.empty(0, dtype=np.float64)
@@ -86,46 +90,25 @@ class ArrivalSource:
             name=name or self.name, arrivals=arrivals, duration=self.duration
         )
 
-    # -- composable transforms (mirror the eager Trace methods) -----------
+    # -- composable transforms ---------------------------------------------
 
     def scaled(self, factor: float) -> "ArrivalSource":
-        """Rate thinning; byte-identical to :meth:`Trace.scaled`."""
+        """Rate thinning (see :class:`ThinnedSource`)."""
         return ThinnedSource(self, factor)
 
     def overlay_burst(
         self, start: float, length: float, factor: float, seed: int = 0
     ) -> "ArrivalSource":
-        """Burst overlay; byte-identical to :meth:`Trace.overlay_burst`."""
+        """Burst overlay (see :class:`BurstSource`)."""
         return BurstSource(self, start, length, factor, seed=seed)
 
     def slice(self, start: float, end: float) -> "ArrivalSource":
         """Sub-stream covering [start, end), re-based to t=0."""
         return SliceSource(self, start, end)
 
-    def spliced(self, other: "ArrivalSource", at: float) -> "ArrivalSource":
+    def splice(self, other: "ArrivalSource", at: float) -> "ArrivalSource":
         """Replace [at, at+other.duration) with ``other``'s stream."""
         return SpliceSource(self, other, at)
-
-
-class TraceSource(ArrivalSource):
-    """An eager :class:`Trace` viewed through the streaming protocol."""
-
-    def __init__(self, trace: Trace) -> None:
-        super().__init__(trace.name, trace.duration)
-        self.trace = trace
-        self._count = len(trace)
-
-    def chunks(self) -> Iterator[np.ndarray]:
-        arrivals = self.trace.arrivals
-        for lo in range(0, arrivals.size, CHUNK):
-            yield arrivals[lo:lo + CHUNK]
-
-
-def ensure_source(workload: "Trace | ArrivalSource") -> ArrivalSource:
-    """Adapt either workload representation to the streaming protocol."""
-    if isinstance(workload, ArrivalSource):
-        return workload
-    return TraceSource(workload)
 
 
 class ConstantSource(ArrivalSource):
@@ -153,9 +136,9 @@ class GeneratorSource(ArrivalSource):
     ``default_rng([seed, stable_hash(name), w])`` — every window is
     independent of the rest of the stream, so the source is re-iterable,
     seekable and embarrassingly shardable by time.  Statistically this
-    is the same inhomogeneous Poisson process the eager generators
+    is the same inhomogeneous Poisson process the registered generators
     sample (disjoint windows of a Poisson process are independent), but
-    a *different realization* than the eager Lewis-Shedler draw order —
+    a *different realization* than their Lewis-Shedler draw order —
     which is why streaming generation is opt-in per scenario.
     """
 
@@ -199,7 +182,11 @@ class GeneratorSource(ArrivalSource):
 
 
 class ThinnedSource(ArrivalSource):
-    """Streaming counterpart of :meth:`Trace.scaled` (same RNG stream)."""
+    """Rate thinning: each arrival survives with probability ``factor``.
+
+    Rate up-scaling (``factor > 1``) must be done at generation time, so
+    the temporal shape is kept without repeating arrivals.
+    """
 
     def __init__(self, source: ArrivalSource, factor: float) -> None:
         if factor <= 0:
@@ -214,8 +201,10 @@ class ThinnedSource(ArrivalSource):
         self.factor = float(factor)
 
     def chunks(self) -> Iterator[np.ndarray]:
-        # Same seed derivation as Trace.scaled; per-chunk random() calls
-        # consume the identical PCG64 stream one big call would.
+        # hash() is salted per process (PYTHONHASHSEED), which would make
+        # thinning non-deterministic across sweep worker processes; derive
+        # the seed from a stable digest of the name instead.  Per-chunk
+        # random() calls consume the PCG64 stream one big call would.
         rng = np.random.default_rng(stable_hash(self.source.name) % 2**32)
         for chunk in self.source.chunks():
             out = chunk[rng.random(chunk.size) < self.factor]
@@ -224,14 +213,18 @@ class ThinnedSource(ArrivalSource):
 
 
 class BurstSource(ArrivalSource):
-    """Streaming counterpart of :meth:`Trace.overlay_burst`.
+    """Arrival rate multiplied by ``factor`` over ``[start, start+length)``.
 
-    ``factor < 1`` thins the window chunk-by-chunk (drawing one random
-    per arrival, in and out of the window, exactly like the eager
-    method).  ``factor > 1`` must know the window's arrival count before
-    drawing the extras, so the window's own arrivals are buffered — the
-    only transform whose memory scales with a declared burst window
-    rather than the chunk size.
+    Models the paper's "unpredictable events": for ``factor > 1`` extra
+    uniform arrivals — Poisson many, ``(factor - 1)`` times the window's
+    own count — are merged into the window; ``factor < 1`` thins it
+    instead, drawing one random per arrival, in and out of the window.
+    Deterministic in ``seed`` and the source name, so declaratively
+    composed workloads replay identically across sweep worker processes.
+    ``factor > 1`` must know the window's arrival count before drawing
+    the extras, so the window's own arrivals are buffered — the only
+    transform whose memory scales with a declared burst window rather
+    than the chunk size.
     """
 
     def __init__(
@@ -307,7 +300,7 @@ class BurstSource(ArrivalSource):
 
 
 class SliceSource(ArrivalSource):
-    """Streaming counterpart of :meth:`Trace.slice` ([start, end), re-based)."""
+    """Sub-stream covering [start, end), re-based to t=0."""
 
     def __init__(self, source: ArrivalSource, start: float, end: float) -> None:
         if not 0 <= start < end <= source.duration:
@@ -330,7 +323,8 @@ class SliceSource(ArrivalSource):
 
 class ConcatSource(ArrivalSource):
     """End-to-end concatenation; each source re-based after the previous
-    one's full duration.  Matches :meth:`Trace.concat` bitwise."""
+    one's full duration (not its last arrival), so quiet tails are
+    preserved."""
 
     def __init__(
         self, sources: Sequence[ArrivalSource], name: str | None = None
@@ -355,9 +349,12 @@ class ConcatSource(ArrivalSource):
 class SpliceSource(ArrivalSource):
     """Replace ``[at, at + other.duration)`` of ``base`` with ``other``.
 
-    Matches :meth:`Trace.splice` bitwise.  The base stream is iterated
-    twice (once for the prefix, once for the suffix) — sources are
-    re-iterable, so this stays flat-memory.
+    Drops a recorded incident (or any other workload) into a steady
+    baseline at a chosen time: ``base`` arrivals inside the window are
+    discarded, ``other``'s shift to start at ``at``, and the duration
+    extends if the splice runs past the end.  Deterministic — no RNG.
+    The base stream is iterated twice (once for the prefix, once for the
+    suffix) — sources are re-iterable, so this stays flat-memory.
     """
 
     def __init__(
@@ -424,14 +421,14 @@ class FileSource(ArrivalSource):
                     "the scenario was declared"
                 )
         self.digest = digest
-        header_name, header_duration = self._read_header()
+        self.jsonl = self.path.suffix.lower() in (".jsonl", ".ndjson")
+        header_name, header_duration = read_header(self.path, self.jsonl)
         if duration is None:
             duration = header_duration
         if duration is None:
             last = None
-            for chunk in self._raw_chunks(validate=False):
-                if chunk.size:
-                    last = float(chunk[-1])
+            for _, last in read_arrivals(self.path, self.jsonl):
+                pass
             if last is None:
                 raise ValueError(f"trace file {self.path} holds no arrivals")
             duration = last + 1e-9
@@ -439,79 +436,86 @@ class FileSource(ArrivalSource):
             name or header_name or self.path.stem, float(duration)
         )
 
-    def _is_jsonl(self) -> bool:
-        return self.path.suffix.lower() in (".jsonl", ".ndjson")
-
-    def _read_header(self) -> tuple[str | None, float | None]:
-        name: str | None = None
-        duration: float | None = None
-        with self.path.open() as fh:
-            first = fh.readline().strip()
-        if not first:
-            return None, None
-        if self._is_jsonl():
-            meta = json.loads(first)
-            if isinstance(meta, dict) and "t" not in meta:
-                name = str(meta["name"]) if "name" in meta else None
-                if meta.get("duration") is not None:
-                    duration = float(meta["duration"])
-        elif first.startswith("#"):
-            for token in first[1:].split():
-                if token.startswith("duration="):
-                    duration = float(token.split("=", 1)[1])
-                elif token.startswith("trace="):
-                    name = token.split("=", 1)[1]
-        return name, duration
-
-    def _parse(self, line: str, lineno: int) -> float | None:
-        if self._is_jsonl():
-            value = json.loads(line)
-            if isinstance(value, dict):
-                if "t" not in value:
-                    if lineno == 1:  # the meta header
-                        return None
-                    raise ValueError(
-                        f"{self.path}:{lineno}: arrival object missing 't'"
-                    )
-                return float(value["t"])
-            return float(value)
-        if line.startswith("#"):
-            return None
-        return float(line)
-
-    def _raw_chunks(self, validate: bool = True) -> Iterator[np.ndarray]:
+    def chunks(self) -> Iterator[np.ndarray]:
         buf: list[float] = []
         last = -float("inf")
-        with self.path.open() as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                t = self._parse(line, lineno)
-                if t is None:
-                    continue
-                if validate:
-                    if t < last:
-                        raise ValueError(
-                            f"{self.path}:{lineno}: arrivals not sorted "
-                            f"({t!r} after {last!r}); sort the file or use "
-                            "load_trace_csv/load_trace_jsonl to materialize"
-                        )
-                    if t < 0 or t > self.duration:
-                        raise ValueError(
-                            f"{self.path}:{lineno}: arrival {t!r} outside "
-                            f"[0, {self.duration}]"
-                        )
-                    last = t
-                buf.append(t)
-                if len(buf) >= CHUNK:
-                    yield np.asarray(buf, dtype=np.float64)
-                    buf = []
+        for lineno, t in read_arrivals(self.path, self.jsonl):
+            if t < last:
+                raise ValueError(
+                    f"{self.path}:{lineno}: arrivals not sorted "
+                    f"({t!r} after {last!r}); sort the file or use "
+                    "load_trace_csv/load_trace_jsonl to materialize"
+                )
+            if t < 0 or t > self.duration:
+                raise ValueError(
+                    f"{self.path}:{lineno}: arrival {t!r} outside "
+                    f"[0, {self.duration}]"
+                )
+            last = t
+            buf.append(t)
+            if len(buf) >= CHUNK:
+                yield np.asarray(buf, dtype=np.float64)
+                buf = []
         if buf:
             yield np.asarray(buf, dtype=np.float64)
 
-    def chunks(self) -> Iterator[np.ndarray]:
-        return self._raw_chunks(validate=True)
+
+def read_header(
+    path: Path, jsonl: bool
+) -> tuple[str | None, float | None]:
+    """(name, duration) from a trace file's first line, where declared."""
+    name: str | None = None
+    duration: float | None = None
+    with path.open() as fh:
+        first = fh.readline().strip()
+    if not first:
+        return None, None
+    if jsonl:
+        meta = json.loads(first)
+        if isinstance(meta, dict) and "t" not in meta:
+            name = str(meta["name"]) if "name" in meta else None
+            if meta.get("duration") is not None:
+                duration = float(meta["duration"])
+    elif first.startswith("#"):
+        for token in first[1:].split():
+            if token.startswith("duration="):
+                duration = float(token.split("=", 1)[1])
+            elif token.startswith("trace="):
+                name = token.split("=", 1)[1]
+    return name, duration
+
+
+def read_arrivals(path: Path, jsonl: bool) -> Iterator[tuple[int, float]]:
+    """(line number, arrival) for every arrival line of a trace file.
+
+    CSV files hold one timestamp per line (``#`` lines are comments);
+    JSONL files hold ``{"t": ...}`` objects or bare numbers after an
+    optional meta header.  Non-finite timestamps are rejected here, so
+    no reader of the format can let one through.
+    """
+    with path.open() as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            if jsonl:
+                value = json.loads(line)
+                if isinstance(value, dict):
+                    if "t" not in value:
+                        if lineno == 1:  # the meta header
+                            continue
+                        raise ValueError(
+                            f"{path}:{lineno}: arrival object missing 't'"
+                        )
+                    value = value["t"]
+                t = float(value)
+            elif line.startswith("#"):
+                continue
+            else:
+                t = float(line)
+            if not math.isfinite(t):
+                raise ValueError(f"{path}:{lineno}: arrival {t!r} is not finite")
+            yield lineno, t
 
 
 def concat_sources(

@@ -438,7 +438,7 @@ class TestResolution:
 
     def test_burst_overlay_raises_windowed_rate(self):
         s = full_scenario()
-        trace = s.build_trace(60.0)
+        trace = s.build_trace(60.0).materialize()
         starts, rates = trace.rate_series(window=1.0)
         in_burst = rates[(starts >= 3.0) & (starts < 5.0)].mean()
         outside = rates[(starts < 3.0)].mean()
@@ -447,7 +447,8 @@ class TestResolution:
     def test_trace_scale_thins(self):
         s = full_scenario()
         thinned = replace(s, trace=replace(s.trace, scale=0.5))
-        assert len(thinned.build_trace(60.0)) < 0.75 * len(s.build_trace(60.0))
+        assert thinned.build_trace(60.0).count() < \
+            0.75 * s.build_trace(60.0).count()
 
     def test_calibration_accounts_for_trace_args(self):
         """A shape-changing generator arg (step multipliers) must reach
@@ -512,11 +513,12 @@ class TestExecution:
         s = full_scenario()
         result = run_scenario(s)
         spec_trace = s.build_trace(scenario_config(s).resolve_base_rate())
-        assert np.array_equal(result.trace.arrivals, spec_trace.arrivals)
+        assert np.array_equal(result.trace.materialize().arrivals,
+                              spec_trace.materialize().arrivals)
 
     def test_run_scenario_executes_failures(self):
         result = run_scenario(full_scenario())
-        assert result.summary.total == len(result.trace)
+        assert result.summary.total == result.trace.count()
         assert len(result.failure_log) == 4  # two fails + two recoveries
         assert any("fail m1" in line for line in result.failure_log)
         assert any("recover m2" in line for line in result.failure_log)
@@ -544,7 +546,7 @@ class TestExecution:
             failures=(),
         )
         result = run_scenario(s)
-        assert result.summary.total == len(result.trace)
+        assert result.summary.total == result.trace.count()
 
     def test_provisioning_follows_composed_trace(self):
         """Auto-provisioning must size workers for the trace actually

@@ -8,7 +8,11 @@ from repro.experiments.runner import run_scenario
 from repro.experiments.scenario import Scenario, TraceSpec
 from repro.workload.generators import get_trace
 from repro.workload.io import save_trace_csv
-from repro.workload.source import trace_file_digest
+from repro.workload.source import (
+    ConstantSource,
+    FileSource,
+    trace_file_digest,
+)
 
 
 class TestSpecFields:
@@ -28,7 +32,7 @@ class TestSpecFields:
         d = spec.to_dict()
         assert d["stream"] is True
         assert TraceSpec.from_dict(d) == spec
-        assert spec.is_lazy()
+        assert isinstance(spec.build_base(40.0), ConstantSource)
 
     def test_path_roundtrip(self, tmp_path):
         trace = get_trace("poisson", base_rate=30.0, duration=15.0, seed=0)
@@ -38,7 +42,7 @@ class TestSpecFields:
         d = spec.to_dict()
         assert d["path"] == str(path)
         assert TraceSpec.from_dict(d) == spec
-        assert spec.is_lazy()
+        assert isinstance(spec.build_base(60.0), FileSource)
         # Name defaults to the file stem.
         assert spec.name == "t"
 

@@ -1,8 +1,10 @@
-"""Tests for the streaming arrival-source library.
+"""Tests for the arrival-source library.
 
-The contract under test is the PR-8 tentpole: every streaming transform
-is *byte-identical* to its eager :class:`Trace` counterpart, sources are
-re-iterable and deterministic, and file replay round-trips losslessly.
+A :class:`Trace` is the in-memory :class:`ArrivalSource`, so every
+transform has one implementation.  The one-shot numpy reference
+formulas below are an independent oracle: each streaming transform
+must match its reference bit for bit, sources must be re-iterable and
+deterministic, and file replay must round-trip losslessly.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.simulation.rng import stable_hash
 from repro.workload.generators import get_trace, stream_trace
 from repro.workload.io import (
     load_trace_jsonl,
@@ -26,12 +29,79 @@ from repro.workload.source import (
     SliceSource,
     SpliceSource,
     ThinnedSource,
-    TraceSource,
     concat_sources,
-    ensure_source,
     trace_file_digest,
 )
 from repro.workload.trace import Trace
+
+# -- reference transforms: whole-array numpy, one RNG call per draw --------
+
+
+def ref_scaled(trace: Trace, factor: float) -> Trace:
+    rng = np.random.default_rng(stable_hash(trace.name) % 2**32)
+    keep = rng.random(len(trace)) < factor
+    return Trace(
+        name=f"{trace.name}x{factor:g}",
+        arrivals=trace.arrivals[keep],
+        duration=trace.duration,
+    )
+
+
+def ref_overlay_burst(
+    trace: Trace, start: float, length: float, factor: float, seed: int = 0
+) -> Trace:
+    end = min(start + length, trace.duration)
+    rng = np.random.default_rng(
+        (stable_hash(f"{trace.name}|burst") + seed) % 2**32
+    )
+    in_window = (trace.arrivals >= start) & (trace.arrivals < end)
+    if factor < 1:
+        keep = ~in_window | (rng.random(len(trace)) < factor)
+        arrivals = trace.arrivals[keep]
+    else:
+        n_extra = rng.poisson((factor - 1.0) * int(in_window.sum()))
+        extra = rng.uniform(start, end, size=n_extra)
+        arrivals = np.sort(np.concatenate([trace.arrivals, extra]))
+    return Trace(
+        name=f"{trace.name}@{start:g}x{factor:g}",
+        arrivals=arrivals,
+        duration=trace.duration,
+    )
+
+
+def ref_slice(trace: Trace, start: float, end: float) -> Trace:
+    mask = (trace.arrivals >= start) & (trace.arrivals < end)
+    return Trace(
+        name=f"{trace.name}[{start:g}:{end:g}]",
+        arrivals=trace.arrivals[mask] - start,
+        duration=end - start,
+    )
+
+
+def ref_concat(traces: list[Trace]) -> Trace:
+    parts: list[np.ndarray] = []
+    offset = 0.0
+    for trace in traces:
+        parts.append(trace.arrivals + offset)
+        offset += trace.duration
+    return Trace(
+        name="+".join(t.name for t in traces),
+        arrivals=np.concatenate(parts),
+        duration=offset,
+    )
+
+
+def ref_splice(trace: Trace, other: Trace, at: float) -> Trace:
+    end = at + other.duration
+    return Trace(
+        name=f"{trace.name}<-{other.name}@{at:g}",
+        arrivals=np.concatenate([
+            trace.arrivals[trace.arrivals < at],
+            other.arrivals + at,
+            trace.arrivals[trace.arrivals >= end],
+        ]),
+        duration=max(trace.duration, end),
+    )
 
 
 def _bitwise(source: ArrivalSource, trace: Trace) -> None:
@@ -57,77 +127,75 @@ class TestConstantSource:
 
 
 class TestTransformParity:
-    """Streaming transforms == eager Trace methods, bit for bit."""
+    """Streaming transforms == the reference formulas, bit for bit."""
 
     @pytest.fixture()
     def trace(self) -> Trace:
         return get_trace("tweet", base_rate=80.0, duration=60.0, seed=4)
 
     def test_scaled(self, trace):
-        _bitwise(TraceSource(trace).scaled(0.4), trace.scaled(0.4))
+        _bitwise(trace.scaled(0.4), ref_scaled(trace, 0.4))
 
     def test_burst_thinning(self, trace):
         _bitwise(
-            TraceSource(trace).overlay_burst(10.0, 20.0, 0.3, seed=7),
             trace.overlay_burst(10.0, 20.0, 0.3, seed=7),
+            ref_overlay_burst(trace, 10.0, 20.0, 0.3, seed=7),
         )
 
     def test_burst_amplify(self, trace):
         _bitwise(
-            TraceSource(trace).overlay_burst(15.0, 10.0, 3.0, seed=2),
             trace.overlay_burst(15.0, 10.0, 3.0, seed=2),
+            ref_overlay_burst(trace, 15.0, 10.0, 3.0, seed=2),
         )
 
     def test_burst_to_trace_end(self, trace):
         # Window clipped at the trace duration: the flush happens on
         # stream end, not on a post-window arrival.
         _bitwise(
-            TraceSource(trace).overlay_burst(50.0, 99.0, 2.0),
             trace.overlay_burst(50.0, 99.0, 2.0),
+            ref_overlay_burst(trace, 50.0, 99.0, 2.0),
         )
 
     def test_slice(self, trace):
-        _bitwise(TraceSource(trace).slice(12.0, 40.0), trace.slice(12.0, 40.0))
+        _bitwise(trace.slice(12.0, 40.0), ref_slice(trace, 12.0, 40.0))
 
     def test_stacked_transforms(self, trace):
-        lazy = TraceSource(trace).scaled(0.8).overlay_burst(5.0, 15.0, 2.5)
-        eager = trace.scaled(0.8).overlay_burst(5.0, 15.0, 2.5)
-        _bitwise(lazy, eager)
+        lazy = trace.scaled(0.8).overlay_burst(5.0, 15.0, 2.5)
+        ref = ref_overlay_burst(ref_scaled(trace, 0.8), 5.0, 15.0, 2.5)
+        _bitwise(lazy, ref)
 
     def test_transform_validation(self, trace):
-        src = TraceSource(trace)
         with pytest.raises(ValueError):
-            src.scaled(1.5)  # thinning only
+            trace.scaled(1.5)  # thinning only
         with pytest.raises(ValueError):
-            src.overlay_burst(99.0, 5.0, 2.0)  # start outside duration
+            trace.overlay_burst(99.0, 5.0, 2.0)  # start outside duration
         with pytest.raises(ValueError):
-            src.slice(40.0, 12.0)
+            trace.slice(40.0, 12.0)
 
 
 class TestConcatSplice:
     def test_concat_matches_trace_concat(self):
         a = get_trace("poisson", base_rate=30.0, duration=20.0, seed=1)
         b = get_trace("constant", base_rate=25.0, duration=10.0, seed=0)
-        lazy = ConcatSource([TraceSource(a), TraceSource(b)])
-        eager = Trace.concat([a, b])
-        _bitwise(lazy, eager)
-        assert eager.duration == pytest.approx(30.0)
+        joined = concat_sources([a, b])
+        _bitwise(joined, ref_concat([a, b]))
+        assert joined.duration == pytest.approx(30.0)
         # Part two re-based after part one's full duration.
-        assert np.all(eager.arrivals[len(a):] >= a.duration)
+        assert np.all(joined.materialize().arrivals[len(a):] >= a.duration)
 
     def test_concat_roundtrip_order(self):
         a = get_trace("poisson", base_rate=40.0, duration=15.0, seed=3)
         b = get_trace("poisson", base_rate=40.0, duration=15.0, seed=9)
-        ab = Trace.concat([a, b])
+        ab = concat_sources([a, b])
         # The original parts are recoverable by slicing at the seam.
-        assert ab.slice(0.0, a.duration).arrivals.tobytes() == \
-            a.arrivals.tobytes()
+        assert ab.slice(0.0, a.duration).materialize().arrivals.tobytes() \
+            == a.arrivals.tobytes()
 
     def test_concat_determinism(self):
         a = get_trace("tweet", base_rate=50.0, duration=12.0, seed=5)
         b = get_trace("tweet", base_rate=50.0, duration=12.0, seed=6)
-        one = concat_sources([TraceSource(a), TraceSource(b)])
-        two = concat_sources([TraceSource(a), TraceSource(b)])
+        one = concat_sources([a, b])
+        two = concat_sources([a, b])
         assert one.materialize().arrivals.tobytes() == \
             two.materialize().arrivals.tobytes()
 
@@ -138,18 +206,16 @@ class TestConcatSplice:
     def test_splice_matches_trace_splice(self):
         base = get_trace("poisson", base_rate=60.0, duration=40.0, seed=2)
         other = get_trace("constant", base_rate=90.0, duration=8.0, seed=0)
-        lazy = TraceSource(base).spliced(TraceSource(other), at=16.0)
-        eager = base.splice(other, at=16.0)
-        _bitwise(lazy, eager)
+        _bitwise(base.splice(other, at=16.0), ref_splice(base, other, 16.0))
 
     def test_splice_window_content(self):
         base = get_trace("poisson", base_rate=50.0, duration=30.0, seed=8)
         other = get_trace("constant", base_rate=10.0, duration=5.0, seed=0)
-        out = base.splice(other, at=10.0)
-        window = out.arrivals[(out.arrivals >= 10.0) & (out.arrivals < 15.0)]
+        out = base.splice(other, at=10.0).materialize().arrivals
+        window = out[(out >= 10.0) & (out < 15.0)]
         assert window.tobytes() == (other.arrivals + 10.0).tobytes()
         # Outside the window the base survives untouched.
-        before = out.arrivals[out.arrivals < 10.0]
+        before = out[out < 10.0]
         assert before.tobytes() == \
             base.arrivals[base.arrivals < 10.0].tobytes()
 
@@ -263,19 +329,28 @@ class TestFileSource:
         save_trace_csv(trace, path)
         lazy = FileSource(path).scaled(0.5)
         assert lazy.materialize().arrivals.tobytes() == \
-            trace.scaled(0.5).arrivals.tobytes()
+            ref_scaled(trace, 0.5).arrivals.tobytes()
+
+    def test_non_finite_rejected(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("# duration=5\n0.5\nnan\n1.0\n")
+        src = FileSource(path)
+        with pytest.raises(ValueError, match=r"x\.csv:3: arrival nan is not finite"):
+            src.count()
 
 
-class TestEnsureSource:
-    def test_trace_adapts(self):
+class TestTraceIsSource:
+    def test_trace_is_source(self):
         trace = get_trace("constant", base_rate=10.0, duration=5.0, seed=0)
-        src = ensure_source(trace)
-        assert isinstance(src, TraceSource)
-        assert ensure_source(src) is src
+        assert isinstance(trace, ArrivalSource)
+        assert trace.count() == len(trace) == 50
+        assert trace.materialize().arrivals.tobytes() == \
+            trace.arrivals.tobytes()
 
     def test_iteration_protocols_match(self):
+        # The direct list iteration equals the chunked base iteration.
         trace = get_trace("poisson", base_rate=30.0, duration=10.0, seed=0)
-        assert list(trace) == list(ensure_source(trace))
+        assert list(trace) == list(ArrivalSource.__iter__(trace))
 
 
 class TestTransformClasses:
