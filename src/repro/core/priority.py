@@ -162,9 +162,13 @@ class DeadlineDepqQueue(RequestQueue):
 
     Remaining budget at a common 'now' orders identically to the absolute
     deadline ``t_s + SLO``, so the key never needs re-weighting as time
-    passes.  LBF pops the earliest deadline (min end), HBF the latest
-    (max end).  The FCFS ablation uses a plain FIFO queue instead (the
-    policy's ``make_queue`` handles that), so modes never mix here.
+    passes.  LBF pops the earliest deadline (min end, FIFO among equal
+    deadlines), HBF the latest (max end, LIFO among equal deadlines).
+    The DEPQ keeps a C heap only for each end in use, so a long LBF or
+    HBF stretch costs one heap push and one heap pop per request, and a
+    mode switch rebuilds the other end's heap once.  The FCFS ablation
+    uses a plain FIFO queue instead (the policy's ``make_queue`` handles
+    that), so modes never mix here.
     """
 
     __slots__ = ("_module", "_module_id", "_controller", "_heap")

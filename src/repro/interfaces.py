@@ -53,6 +53,11 @@ class DropContext:
 class RequestQueue(abc.ABC):
     """Queue discipline for a worker's pending requests."""
 
+    #: True when ``pop`` may drop requests without returning them; the
+    #: owning worker then measures ``len`` around each pop to keep its
+    #: ``load`` counter exact.
+    discards = False
+
     @abc.abstractmethod
     def push(self, request: Request, now: float) -> None:
         """Add a request to the queue."""

@@ -62,6 +62,8 @@ class _NexusScanQueue(RequestQueue):
     here are routed through the cluster exactly like policy drops.
     """
 
+    discards = True
+
     def __init__(self, module: "Module") -> None:
         self._module = module
         self._dq: deque[Request] = deque()

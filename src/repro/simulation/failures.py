@@ -231,6 +231,7 @@ class FailureInjector:
             worker.executing.aborted = True  # its completion event is void
             stranded.extend(worker.executing.requests)
             worker.executing = None
+        worker.load = 0  # nothing is left on the dead worker
         for request in stranded:
             if request.status is not RequestStatus.IN_FLIGHT:
                 continue

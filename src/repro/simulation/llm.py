@@ -66,17 +66,10 @@ class LLMWorker(Worker):
     # -- introspection ------------------------------------------------------
 
     @property
-    def load(self) -> int:
-        return len(self.queue) + len(self.forming) + len(self._running)
-
-    @property
     def idle(self) -> bool:
-        return (
-            self.executing is None
-            and not self._running
-            and not self.forming
-            and len(self.queue) == 0
-        )
+        # ``load`` here counts queued + forming + running sequences: the
+        # running set, not the per-iteration ``executing`` snapshot.
+        return self.executing is None and self.load == 0
 
     # -- request flow -------------------------------------------------------
 
@@ -100,6 +93,7 @@ class LLMWorker(Worker):
     def enqueue(self, request: Request) -> None:
         """Accept a dispatched request and advance the engine if idle."""
         self._sample_tokens(request)
+        self.load += 1
         self.queue.push(request, self.sim.now)
         if self.executing is None:
             self._step()
@@ -119,6 +113,7 @@ class LLMWorker(Worker):
                 keep.append(r)
             else:
                 self.telemetry.skipped_cancelled += 1
+                self.load -= 1
                 self._release(r.rid)
                 self._generated.pop(r.rid, None)
         self._running = keep
@@ -148,6 +143,8 @@ class LLMWorker(Worker):
         ctx = self._ctx
         ctx.now = now
         forming = self.forming
+        queue = self.queue
+        queue_pop = self._pop_discarding if queue.discards else queue.pop
         resilient = module._resilience is not None
         while len(running) < target:
             if forming:
@@ -155,13 +152,14 @@ class LLMWorker(Worker):
                 from_forming = True
             else:
                 from_forming = False
-                request = self.queue.pop(now)
+                request = queue_pop(now)
                 if request is None:
                     break
             if request.status is not in_flight:
                 if from_forming:
                     forming.pop(0)
                 self.telemetry.skipped_cancelled += 1
+                self.load -= 1
                 continue
             self._sample_tokens(request)  # parked arrivals skip enqueue()
             visit = request.visits[module_id]
@@ -175,6 +173,7 @@ class LLMWorker(Worker):
                 if from_forming:
                     forming.pop(0)
                 self.telemetry.skipped_cancelled += 1
+                self.load -= 1
                 continue
             if worst > capacity:
                 # Could never fit even on an empty cache: reject outright
@@ -185,6 +184,7 @@ class LLMWorker(Worker):
                 visit.worker_id = self.worker_id
                 stats.queue_delays.record(now, now - visit.t_received)
                 self.telemetry.dropped_requests += 1
+                self.load -= 1
                 stats.record_drop()
                 module.cluster.drop(
                     request, module_id, DropReason.ADMISSION_CONTROL
@@ -212,6 +212,7 @@ class LLMWorker(Worker):
                 reason = module.policy.should_drop(ctx)
                 if reason is not None:
                     self.telemetry.dropped_requests += 1
+                    self.load -= 1
                     stats.record_drop()
                     module.cluster.drop(request, module_id, reason)
                     continue
@@ -305,6 +306,7 @@ class LLMWorker(Worker):
                     self._release(request.rid)
                     self._generated.pop(request.rid, None)
                     self._running.remove(request)
+                    self.load -= 1
                     self.telemetry.executed_requests += 1
                     retired.append(request)
         # Forward retirees only after all engine bookkeeping is settled:

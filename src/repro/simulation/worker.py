@@ -47,11 +47,20 @@ class WorkerTelemetry:
 
 
 class Worker:
-    """One GPU container executing batches for a single module."""
+    """One GPU container executing batches for a single module.
+
+    ``load`` is the outstanding work the least-loaded dispatcher compares
+    on every pick: queued requests (tombstones included) plus the forming
+    batch plus the executing batch.  It is a plain counter, kept exact at
+    each transition — ``enqueue`` adds one; a draw that skips, discards
+    or drops a request removes it; ``_finish_batch`` removes the batch —
+    so a pick reads integers instead of summing three lengths per worker.
+    A killed worker is zeroed by the failure injector.
+    """
 
     __slots__ = (
         "module", "worker_id", "sim", "queue", "forming", "executing",
-        "_draining", "telemetry", "_ctx", "degrade_factor",
+        "load", "_draining", "telemetry", "_ctx", "degrade_factor",
     )
 
     def __init__(self, module: "Module", worker_id: int) -> None:
@@ -61,6 +70,7 @@ class Worker:
         self.queue = module.policy.make_queue(module)
         self.forming: list[Request] = []
         self.executing: Batch | None = None
+        self.load = 0  # queued + forming + executing (see class docstring)
         self._draining = False
         # Straggler injection (FailureEvent kind="degrade"): batches run
         # this many times slower while the fault is active.  1.0 — the
@@ -96,21 +106,8 @@ class Worker:
     # -- introspection ------------------------------------------------------
 
     @property
-    def load(self) -> int:
-        """Outstanding work (used by the least-loaded dispatcher)."""
-        executing = self.executing
-        n = len(self.queue) + len(self.forming)
-        if executing is None:
-            return n
-        return n + len(executing.requests)
-
-    @property
     def idle(self) -> bool:
-        return (
-            self.executing is None
-            and not self.forming
-            and len(self.queue) == 0
-        )
+        return self.load == 0
 
     @property
     def expected_start(self) -> float:
@@ -121,8 +118,22 @@ class Worker:
 
     def enqueue(self, request: Request) -> None:
         """Accept a dispatched request and try to advance batching."""
+        self.load += 1
         self.queue.push(request, self.sim.now)
         self._draw()
+
+    def _pop_discarding(self, now: float) -> Request | None:
+        """``queue.pop`` for a queue that ``discards`` inside ``pop``.
+
+        Such a queue (Nexus's windowed scan) shrinks by more than the
+        request it hands out; the extra removals come off ``load`` here,
+        so callers only account for the requests they receive.
+        """
+        queue = self.queue
+        before = len(queue)
+        request = queue.pop(now)
+        self.load -= before - len(queue) - (request is not None)
+        return request
 
     def _draw(self) -> None:
         """Pull requests from the queue into the forming batch.
@@ -136,7 +147,8 @@ class Worker:
         target = module.target_batch
         # Hot loop: every request drawn toward a batch passes through here
         # once, so the per-iteration lookups are bound outside the loop.
-        queue_pop = self.queue.pop
+        queue = self.queue
+        queue_pop = self._pop_discarding if queue.discards else queue.pop
         forming = self.forming
         should_drop = module.policy.should_drop
         stats = module.stats
@@ -160,11 +172,13 @@ class Worker:
                 # without spending GPU time (its earlier work is already
                 # accounted as invalid).
                 self.telemetry.skipped_cancelled += 1
+                self.load -= 1
                 continue
             if resilient and request.visits[module_id].t_batched is not None:
                 # A duplicate dispatch lost the race: another worker (or a
                 # fallback) already claimed this hop.
                 self.telemetry.skipped_cancelled += 1
+                self.load -= 1
                 continue
             executing = self.executing
             t_e = executing.end if executing is not None else now
@@ -182,6 +196,7 @@ class Worker:
             record_queue_delay(now, now - visit.t_received)
             if reason is not None:
                 self.telemetry.dropped_requests += 1
+                self.load -= 1
                 stats.record_drop()
                 module.cluster.drop(request, module_id, reason)
                 continue
@@ -224,6 +239,7 @@ class Worker:
         if batch.aborted:
             return  # the worker died mid-execution (failure injection)
         self.executing = None
+        self.load -= len(batch.requests)
         for request in batch.requests:
             self.module.cluster.on_module_done(request, self.module)
         if self.forming:

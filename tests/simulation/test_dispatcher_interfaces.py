@@ -44,10 +44,13 @@ class TestDispatchers:
 
     def test_least_loaded_prefers_empty_worker(self):
         workers = self.workers()
-        # Load worker 0 with queued requests.
+        # Load worker 0 through enqueue, which maintains its load counter
+        # (a bare queue.push would bypass it).
         for i in range(3):
             r = Request(sent_at=0.0, slo=5.0)
-            workers[0].queue.push(r, 0.0)
+            r.begin_visit("m1", 0.0)
+            workers[0].enqueue(r)
+        assert workers[0].load == 3
         pick = LeastLoadedDispatcher().pick(workers)
         assert pick.worker_id in (1, 2)
 
