@@ -4,9 +4,11 @@ The continuous-batching engine must uphold the same lifecycle invariant
 as fixed-duration workers — every admitted request reaches exactly one
 terminal state with no token or KV state left behind — under every
 registered policy, including on the multi-exit agentic RAG DAG where a
-probabilistic router kills the untaken branch.  A sweep over the
-committed ``llm_serving.json`` example additionally pins that a process
-pool reproduces the serial run byte-for-byte.
+probabilistic router kills the untaken branch.  After every engine step
+the reserved cache equals the sum of the running sequences'
+reservations.  A sweep over the committed ``llm_serving.json`` example
+additionally pins that a process pool reproduces the serial run
+byte-for-byte.
 """
 
 from __future__ import annotations
@@ -29,6 +31,22 @@ from repro.simulation.routing import ProbabilisticRouter
 SCENARIO_DIR = (
     Path(__file__).resolve().parent.parent.parent / "examples" / "scenarios"
 )
+
+
+@pytest.fixture
+def kv_checked(monkeypatch):
+    """Check ``kv_used`` against the running records after every step."""
+    step = LLMWorker._step
+    steps = {"n": 0}
+
+    def checked(self):
+        step(self)
+        steps["n"] += 1
+        assert self.kv_used == sum(s.reserved for s in self._seqs)
+        assert self._running == [s.request for s in self._seqs]
+
+    monkeypatch.setattr(LLMWorker, "_step", checked)
+    return steps
 
 
 def _run_llm(app_name: str, policy_name: str, requests: int = 12) -> Cluster:
@@ -54,8 +72,11 @@ def _run_llm(app_name: str, policy_name: str, requests: int = 12) -> Cluster:
 
 @pytest.mark.parametrize("app_name", ["llm-chat", "rag-agentic"])
 @pytest.mark.parametrize("policy_name", known_policies())
-def test_every_llm_request_terminal_exactly_once(app_name, policy_name):
+def test_every_llm_request_terminal_exactly_once(
+    kv_checked, app_name, policy_name
+):
     cluster = _run_llm(app_name, policy_name)
+    assert kv_checked["n"] > 0
     records = cluster.metrics.records
     assert len(records) == cluster.metrics.submitted == 12
     rids = [r.rid for r in records]
@@ -68,13 +89,14 @@ def test_every_llm_request_terminal_exactly_once(app_name, policy_name):
     assert not cluster._join_arrived
     assert not cluster._join_expected
     assert not cluster._exit_expected
-    # ...and every KV reservation was released.
+    # ...and every KV reservation and sequence record was released.
     for module in cluster.modules.values():
         for worker in module.workers:
             if isinstance(worker, LLMWorker):
                 assert worker.kv_used == 0
-                assert not worker._reserved
-                assert not worker._generated
+                assert not worker._seqs and not worker._running
+                assert not worker._need_prefill
+                assert not worker._preempted
 
 
 @pytest.mark.parametrize("app_name", ["llm-chat", "rag-agentic"])

@@ -4,7 +4,7 @@ The KV cache is a schedulable resource — every admitted sequence holds a
 token reservation against the worker's capacity.  These tests pin the
 accounting invariant that no path may violate: after any run (clean
 completions, admission-control drops, worker failures, preemptions) every
-worker ends with ``kv_used == 0`` and no leftover per-request state.
+worker ends with ``kv_used == 0`` and no leftover per-sequence state.
 """
 
 from __future__ import annotations
@@ -57,15 +57,15 @@ def llm_cluster(profile: LLMProfile, workers: int = 1, slo: float = 60.0) -> Clu
 
 
 def assert_clean(cluster: Cluster) -> None:
-    """No KV reservation or per-request engine state survives the run."""
+    """No KV reservation or per-sequence engine state survives the run."""
     for module in cluster.modules.values():
         for worker in module.workers:
             assert isinstance(worker, LLMWorker)
             assert worker.kv_used == 0
-            assert worker._reserved == {}
-            assert worker._generated == {}
+            assert worker._seqs == []
             assert worker._running == []
             assert worker._need_prefill == []
+            assert worker._preempted == {}
             assert worker.executing is None
             assert worker.idle
 

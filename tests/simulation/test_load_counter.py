@@ -220,12 +220,7 @@ def test_llm_pool(checked_draws):
 @pytest.mark.parametrize("windowed", [False, True])
 def test_llm_engine_paths(checked_draws, preempt, windowed):
     """KV blocking and preemption, admission-control rejects, policy and
-    scan drops, hedge duplicates and a kill on a dedicated LLM module.
-
-    Hedges run in block mode only: preempt mode with duplicate dispatches
-    crashes the engine today (its per-request state is keyed by request
-    id, which both copies share), an open defect independent of ``load``.
-    """
+    scan drops, hedge duplicates and a kill on a dedicated LLM module."""
     profile = LLMProfile(
         name="gen", max_batch=4, prefill_base=0.002,
         prefill_per_token=0.00002, decode_base=0.001,
@@ -241,8 +236,7 @@ def test_llm_engine_paths(checked_draws, preempt, windowed):
         registry=ProfileRegistry([profile]),
         metrics=MetricsCollector(),
         rng=RngStreams(seed=7),
-        resilience={"m1": HopResilience(
-            timeout=0.1, hedge=None if preempt else 0.03)},
+        resilience={"m1": HopResilience(timeout=0.1, hedge=0.03)},
     )
     FailureInjector(cluster, events=[
         FailureEvent(time=0.4, module_id="m1", workers=1, downtime=0.3),
