@@ -124,7 +124,8 @@ class BatchWaitEstimator:
         """w_k for downstream modules with profiled ``durations``.
 
         ``observed[i]`` optionally holds recent runtime batch-wait samples
-        of module i (same order as ``durations``).
+        of module i (same order as ``durations``): a sequence of floats or
+        a float64 array, which is sampled without a copy.
         """
         if not durations:
             return 0.0
@@ -135,7 +136,9 @@ class BatchWaitEstimator:
         total = np.zeros(self.samples)
         for i, d in enumerate(durations):
             obs = observed[i] if observed is not None else None
-            if obs and len(obs) >= self.min_observed:
+            # len(), not truthiness: an array's truth value is ambiguous.
+            n_obs = len(obs) if obs is not None else 0
+            if n_obs and n_obs >= self.min_observed:
                 draws = self._rng.choice(np.asarray(obs, dtype=float), self.samples)
             else:
                 draws = self._rng.uniform(0.0, d, self.samples)

@@ -75,15 +75,18 @@ class RequestBroker:
 
     def _sub(self, ctx: DropContext) -> float:
         """Forward component L_sub for the request's current module."""
-        assert self.planner.cluster is not None
+        planner = self.planner
+        assert planner.cluster is not None
         # Translate the data-plane module to this pipeline's DAG position:
         # in a shared cluster the pool id is not the tenant's module id.
-        module_id = self.planner.cluster.hop_id(ctx.module)
-        if self.sub_mode == SubMode.NONE:
+        module_id = planner.cluster.hop_id(ctx.module)
+        sub_mode = self.sub_mode
+        if sub_mode == SubMode.FULL:
+            # Once per drawn request: ``planner.sub_estimate`` inlined.
+            return planner._sub_estimates.get(module_id, 0.0)
+        if sub_mode == SubMode.NONE:
             return 0.0
-        if self.sub_mode == SubMode.DURATIONS:
-            return self._durations_only(module_id)
-        return self.planner.sub_estimate(module_id)
+        return self._durations_only(module_id)
 
     def _durations_only(self, module_id: str) -> float:
         """Max over downstream paths of the profiled execution durations.

@@ -171,23 +171,31 @@ class DeadlineDepqQueue(RequestQueue):
     that), so modes never mix here.
     """
 
-    __slots__ = ("_module", "_module_id", "_controller", "_heap")
+    __slots__ = ("_module", "_module_id", "_modes", "_default", "_heap")
 
     def __init__(self, module: "Module", controller: AdaptivePriorityController) -> None:
         self._module = module
         self._module_id = module.spec.id
-        self._controller = controller
+        # ``pop`` reads the mode straight from the controller's per-module
+        # dict; a fixed HBF/LBF controller never writes it, so its mode is
+        # the fallback (adaptive ones start in LBF, as ``current`` does).
+        self._modes = controller._current
+        self._default = (
+            controller.mode
+            if controller.mode in (PriorityMode.HBF, PriorityMode.LBF)
+            else PriorityMode.LBF
+        )
         self._heap: MinMaxHeap[Request] = MinMaxHeap()
 
     def push(self, request: Request, now: float) -> None:
-        self._heap.push(request.deadline, request)
+        # ``request.deadline`` spelled out: same sum, one frame fewer.
+        self._heap.push(request.sent_at + request.slo, request)
 
     def pop(self, now: float) -> Request | None:
         heap = self._heap
         if not heap:
             return None
-        mode = self._controller.current(self._module_id)
-        if mode == PriorityMode.HBF:
+        if self._modes.get(self._module_id, self._default) == PriorityMode.HBF:
             return heap.pop_max()
         return heap.pop_min()
 

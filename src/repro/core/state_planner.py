@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from .batch_wait import BatchWaitEstimator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -82,6 +84,9 @@ class StatePlanner:
         self._estimator = BatchWaitEstimator(lam=lam, samples=samples, seed=seed)
         self.cluster: "Cluster | None" = None
         self._states: dict[str, ModuleState] = {}
+        # module id -> observed waits as float64, built once per refresh
+        # and shared by every downstream path through the module.
+        self._wait_arrays: dict[str, np.ndarray] = {}
         self._sub_estimates: dict[str, float] = {}
         self._path_details: dict[str, list[dict[str, float]]] = {}
 
@@ -116,6 +121,11 @@ class StatePlanner:
         """Synchronise states and recompute every module's L_sub estimate."""
         assert self.cluster is not None, "planner not bound to a cluster"
         self._states = self.snapshot(now)
+        if self.wait_mode == WaitMode.QUANTILE:
+            self._wait_arrays = {
+                mid: np.asarray(state.observed_waits, dtype=float)
+                for mid, state in self._states.items()
+            }
         spec = self.cluster.spec
         self._sub_estimates = {}
         self._path_details = {}
@@ -169,8 +179,8 @@ class StatePlanner:
         elif self.wait_mode == WaitMode.UPPER:
             w = sum_d
         else:
-            observed = [list(s.observed_waits) for s in states]
-            w = self._estimator.estimate(durations, observed)
+            waits = self._wait_arrays
+            w = self._estimator.estimate(durations, [waits[mid] for mid in path])
         parts = {"queue": sum_q, "exec": sum_d, "wait": w}
         return sum_q + sum_d + w, parts
 

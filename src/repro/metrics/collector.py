@@ -3,18 +3,23 @@
 The collector is the single source of truth for every metric the paper
 reports: goodput, drop rate, invalid rate (wasted GPU time), per-module
 drop distribution, transient rates and latency decompositions.
+
+Both record types are :class:`typing.NamedTuple` classes: immutable,
+hashable and picklable values that are cheap to build.  A full-mode run
+builds one record per request and one per executed visit; a tuple is
+built in a single C call, where a frozen dataclass ``__init__`` would pay
+one ``object.__setattr__`` per field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..simulation.request import DropReason, Request, RequestStatus
 from .goodput import GoodputSpec, constraint_checks
 
 
-@dataclass(frozen=True, slots=True)
-class VisitRecord:
+class VisitRecord(NamedTuple):
     """Latency decomposition of one executed module visit."""
 
     module_id: str
@@ -25,8 +30,7 @@ class VisitRecord:
     batch_size: int
 
 
-@dataclass(frozen=True, slots=True)
-class RequestRecord:
+class RequestRecord(NamedTuple):
     """Immutable outcome of one request (terminal state)."""
 
     rid: int
@@ -38,7 +42,7 @@ class RequestRecord:
     gpu_time: float
     dropped_at_module: str | None
     drop_reason: DropReason | None
-    visits: tuple[VisitRecord, ...] = field(default_factory=tuple)
+    visits: tuple[VisitRecord, ...] = ()
     # Token-level (LLM) outcomes; defaults keep fixed-duration records lean.
     first_token_at: float | None = None
     last_token_at: float | None = None
@@ -60,27 +64,29 @@ class RequestRecord:
 
 
 def _visit_records(request: Request) -> tuple[VisitRecord, ...]:
-    out = []
-    for v in request.visits.values():
-        if v.t_exec_end is None:
-            continue  # never executed at this module (queued/forming when dropped)
-        out.append(
-            VisitRecord(
-                module_id=v.module_id,
-                queueing_delay=v.queueing_delay,
-                batch_wait=v.batch_wait,
-                execution=v.execution,
-                gpu_time=v.gpu_time,
-                batch_size=v.batch_size,
-            )
+    # Q, W and D are the ModuleVisit properties' subtractions, inlined:
+    # a visit that finished executing has every stamp set.
+    return tuple([
+        VisitRecord(
+            v.module_id,
+            v.t_batched - v.t_received,
+            v.t_exec_start - v.t_batched,
+            v.t_exec_end - v.t_exec_start,
+            v.gpu_time,
+            v.batch_size,
         )
-    return tuple(out)
+        for v in request.visits.values()
+        # never executed at this module (queued/forming when dropped)
+        if v.t_exec_end is not None
+    ])
 
 
 class MetricsCollector:
     """Accumulates request outcomes during a simulation run.
 
-    Alongside the per-request :class:`RequestRecord` list, the collector
+    Alongside the per-request :class:`RequestRecord` list (immutable
+    NamedTuples, snapshotted when the request terminates: a visit a
+    sibling branch stamps later is not in the record), the collector
     maintains *streaming* counters (counts, GPU-time totals, send-time
     span) updated once per terminal request, so run-level summaries are
     O(1) instead of a full pass over the records.
@@ -165,19 +171,19 @@ class MetricsCollector:
             return
         self.records.append(
             RequestRecord(
-                rid=request.rid,
-                sent_at=sent_at,
-                finished_at=request.finished_at,
-                status=status,
-                met_slo=met_slo,
-                slo=request.slo,
-                gpu_time=gpu_time,
-                dropped_at_module=request.dropped_at_module,
-                drop_reason=request.drop_reason,
-                visits=_visit_records(request),
-                first_token_at=request.first_token_at,
-                last_token_at=request.last_token_at,
-                tokens_out=request.tokens_out,
+                request.rid,
+                sent_at,
+                request.finished_at,
+                status,
+                met_slo,
+                request.slo,
+                gpu_time,
+                request.dropped_at_module,
+                request.drop_reason,
+                _visit_records(request),
+                request.first_token_at,
+                request.last_token_at,
+                request.tokens_out,
             )
         )
 

@@ -159,14 +159,18 @@ class RequestFlow:
                     )
                 self._record_branch_choice(request, hop, subs, chosen)
         severed = self._severed
-        if severed is None:
-            for sub in chosen:
-                self._deliver(request, sub)
-            return
+        # A successor that is not a join, reached without a hop delay,
+        # takes the token straight away: skip the _deliver/_forward frames.
+        direct = self.hop_delay <= 0
+        pred_count = self._pred_count
         for sub in chosen:
-            parked = severed.get((hop, sub))
-            if parked is not None:
-                parked.append(request)  # partitioned: replayed on heal
+            if severed is not None:
+                parked = severed.get((hop, sub))
+                if parked is not None:
+                    parked.append(request)  # partitioned: replayed on heal
+                    continue
+            if direct and pred_count[sub] <= 1:
+                self.modules[sub].receive(request)
             else:
                 self._deliver(request, sub)
 
@@ -268,7 +272,7 @@ class RequestFlow:
             if remaining > 0:
                 self._exit_expected[rid] = remaining
                 return
-        request.mark_completed(self.sim.now)
+        request.mark_completed(self.sim._now)
         self._forget(request)
         self.metrics.record_request(request)
 
@@ -276,7 +280,7 @@ class RequestFlow:
         """Drop a request at ``module_id`` (idempotent for DAG siblings)."""
         if request.status is RequestStatus.DROPPED:
             return
-        request.mark_dropped(module_id, reason, self.sim.now)
+        request.mark_dropped(module_id, reason, self.sim._now)
         self._forget(request)
         self.metrics.record_request(request)
 

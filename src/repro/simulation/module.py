@@ -204,7 +204,7 @@ class Module:
         """Accept a request arriving at this module (step 4 in Figure 4)."""
         if request.status is not RequestStatus.IN_FLIGHT:
             return  # dropped in transit (DAG sibling with network delay)
-        now = self.sim.now
+        now = self.sim._now
         request.begin_visit(self.spec.id, now)
         self.stats.arrivals.record(now)
         if self._admit_hook is not None:

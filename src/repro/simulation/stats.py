@@ -6,8 +6,8 @@ weighted window) and exposes them to the State Planner and to the adaptive
 priority mechanism.
 
 Aggregates are O(1) amortized: :class:`WindowedSamples` maintains running
-sums (count, value, timestamp and timestamp*value) updated on record and
-evict, so the linear-decay weighted average is evaluated algebraically —
+sums (count, value, timestamp and timestamp*value), so the linear-decay
+weighted average is evaluated algebraically —
 
     weight(t) = 1 - (now - t) / w = (1 - now / w) + t / w
 
@@ -19,11 +19,24 @@ evict, so the linear-decay weighted average is evaluated algebraically —
 with the arrival rate.  Running float sums drift as samples are added and
 subtracted, so the sums are rebuilt exactly from the retained samples
 every O(len) mutations (amortized O(1)).
+
+Recording is far more frequent than querying (a sample per drawn request,
+a query per sync tick or cache refresh), so ``record`` only appends the
+sample to a pending list and the sums are updated at the next query.
+That is exact, not an approximation.  Records only ever add to the sums
+and queries only ever subtract (evict), so adding each sample the moment
+it is recorded would put every add between two queries before every
+subtract of the second query anyway.  A query therefore folds the pending
+samples in first, in recording order, then evicts: the same float
+operations in the same order as eager adds, hence bit-identical sums and
+the same ``_rebuild`` points.
 """
 
 from __future__ import annotations
 
 from collections import deque
+
+_NAN = float("nan")  # an invalid cache key: compares unequal to every time
 
 
 class WindowedSamples:
@@ -34,7 +47,7 @@ class WindowedSamples:
     """
 
     __slots__ = (
-        "window", "_inv_window", "_samples",
+        "window", "_inv_window", "_samples", "_pending",
         "_sum_v", "_sum_t", "_sum_tv", "_mutations",
     )
 
@@ -44,34 +57,48 @@ class WindowedSamples:
         self.window = window
         self._inv_window = 1.0 / window
         self._samples: deque[tuple[float, float]] = deque()
+        # Recorded but not yet in the sums (see the module docstring).
+        self._pending: list[tuple[float, float]] = []
         self._sum_v = 0.0  # sum of values
         self._sum_t = 0.0  # sum of timestamps
         self._sum_tv = 0.0  # sum of timestamp * value
         self._mutations = 0  # adds/evicts since the last exact rebuild
 
     def record(self, t: float, value: float) -> None:
-        self._samples.append((t, value))
-        self._sum_v += value
-        self._sum_t += t
-        self._sum_tv += t * value
-        self._mutations += 1
+        self._pending.append((t, value))
 
     def _evict(self, now: float) -> None:
-        cutoff = now - self.window
         dq = self._samples
+        pending = self._pending
+        if pending:
+            sum_v, sum_t, sum_tv = self._sum_v, self._sum_t, self._sum_tv
+            for t, v in pending:
+                sum_v += v
+                sum_t += t
+                sum_tv += t * v
+            self._sum_v, self._sum_t, self._sum_tv = sum_v, sum_t, sum_tv
+            self._mutations += len(pending)
+            dq.extend(pending)
+            pending.clear()
+        cutoff = now - self.window
         if not dq or dq[0][0] >= cutoff:
             return
         popleft = dq.popleft
+        sum_v, sum_t, sum_tv = self._sum_v, self._sum_t, self._sum_tv
+        evicted = 0
         while dq and dq[0][0] < cutoff:
             t, v = popleft()
-            self._sum_v -= v
-            self._sum_t -= t
-            self._sum_tv -= t * v
-            self._mutations += 1
+            sum_v -= v
+            sum_t -= t
+            sum_tv -= t * v
+            evicted += 1
         if not dq:
             self._sum_v = self._sum_t = self._sum_tv = 0.0
             self._mutations = 0
-        elif self._mutations > (len(dq) << 2) + 64:
+            return
+        self._sum_v, self._sum_t, self._sum_tv = sum_v, sum_t, sum_tv
+        self._mutations += evicted
+        if self._mutations > (len(dq) << 2) + 64:
             self._rebuild()
 
     def _rebuild(self) -> None:
@@ -118,7 +145,7 @@ class WindowedSamples:
         return [v for _, v in self._samples]
 
     def __len__(self) -> int:
-        return len(self._samples)
+        return len(self._samples) + len(self._pending)
 
 
 class RateMeter:
@@ -135,13 +162,13 @@ class RateMeter:
         # Policies query the rate repeatedly at one simulation instant
         # (every admission at time t); cache by ``now``, invalidated on
         # record, so repeat queries skip even the eviction walk.
-        self._cached_now = float("nan")
+        self._cached_now = _NAN
         self._cached_rate = 0.0
 
     def record(self, t: float) -> None:
         self._events.append(t)
         self.total += 1
-        self._cached_now = float("nan")
+        self._cached_now = _NAN
 
     def rate(self, now: float) -> float:
         """Events per second over the trailing window (O(1) amortized)."""

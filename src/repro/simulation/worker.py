@@ -112,14 +112,14 @@ class Worker:
     @property
     def expected_start(self) -> float:
         """t_e: when the batch currently being formed will start executing."""
-        return self.executing.end if self.executing else self.sim.now
+        return self.executing.end if self.executing else self.sim._now
 
     # -- request flow -------------------------------------------------------
 
     def enqueue(self, request: Request) -> None:
         """Accept a dispatched request and try to advance batching."""
         self.load += 1
-        self.queue.push(request, self.sim.now)
+        self.queue.push(request, self.sim._now)
         self._draw()
 
     def _pop_discarding(self, now: float) -> Request | None:
@@ -142,14 +142,28 @@ class Worker:
         expected batch start t_e known.  Respects the module's target batch
         size as the forming capacity.
         """
-        now = self.sim.now
         module = self.module
         target = module.target_batch
+        forming = self.forming
+        executing = self.executing
+        n_exec = len(executing.requests) if executing is not None else 0
+        # ``load`` less forming and executing is exactly the queue length,
+        # so the loop stops once the queue is empty instead of paying for
+        # a pop that returns None — and most draws (batch already full, or
+        # nothing queued) return before binding any loop local.
+        if len(forming) >= target or self.load == len(forming) + n_exec:
+            if executing is None and forming:
+                self._start_batch()
+            return
+        now = self.sim._now
         # Hot loop: every request drawn toward a batch passes through here
         # once, so the per-iteration lookups are bound outside the loop.
+        # Nothing in it starts or ends a batch on this worker, so t_e (and
+        # the batch wait it implies) is the same for every drawn request.
+        t_e = executing.end if executing is not None else now
+        batch_wait = t_e - now if t_e > now else 0.0
         queue = self.queue
         queue_pop = self._pop_discarding if queue.discards else queue.pop
-        forming = self.forming
         should_drop = module.policy.should_drop
         stats = module.stats
         record_queue_delay = stats.queue_delays.record
@@ -158,12 +172,13 @@ class Worker:
         in_flight = RequestStatus.IN_FLIGHT
         ctx = self._ctx
         ctx.now = now
+        ctx.expected_start = t_e
         # Resilient hops dispatch duplicate entries (retries/hedges); the
         # first worker to draw one claims the hop via t_batched and every
         # other copy is a tombstone to skip.  Hoisted: modules without a
         # resilience config never pay the per-request visit lookup.
         resilient = module._resilience is not None
-        while len(forming) < target:
+        while len(forming) < target and self.load > len(forming) + n_exec:
             request = queue_pop(now)
             if request is None:
                 break
@@ -180,10 +195,7 @@ class Worker:
                 self.telemetry.skipped_cancelled += 1
                 self.load -= 1
                 continue
-            executing = self.executing
-            t_e = executing.end if executing is not None else now
             ctx.request = request
-            ctx.expected_start = t_e
             ctx.batch_duration = module.effective_duration(now)
             # The request's own objective, not the cluster's: in a shared
             # (multi-tenant) cluster requests from different apps carry
@@ -200,22 +212,23 @@ class Worker:
                 stats.record_drop()
                 module.cluster.drop(request, module_id, reason)
                 continue
-            record_batch_wait(now, t_e - now if t_e > now else 0.0)
+            record_batch_wait(now, batch_wait)
             forming.append(request)
-        if self.executing is None and forming:
+        if executing is None and forming:
             self._start_batch()
 
     def _start_batch(self) -> None:
         """Begin executing the forming batch on the GPU."""
-        now = self.sim.now
+        now = self.sim._now
+        module = self.module
         requests = self.forming
         self.forming = []
         size = len(requests)
-        duration = self.module.profile.duration(size)
+        duration = module.profile.duration(size)
         if self.degrade_factor != 1.0:
             duration *= self.degrade_factor  # straggler fault active
         share = duration / size
-        module_id = self.module.spec.id
+        module_id = module.spec.id
         end = now + duration
         for r in requests:
             v = r.visits[module_id]
@@ -223,13 +236,14 @@ class Worker:
             v.t_exec_end = end
             v.batch_size = size
             v.gpu_time = share
-        batch = Batch(requests=requests, start=now, end=end)
+        batch = Batch(requests, now, end)
         self.executing = batch
-        self.telemetry.batches += 1
-        self.telemetry.executed_requests += size
-        self.telemetry.busy_time += duration
-        self.module.stats.record_batch(now, size)
-        self.sim.schedule(batch.end, self._finish_batch, batch)
+        telemetry = self.telemetry
+        telemetry.batches += 1
+        telemetry.executed_requests += size
+        telemetry.busy_time += duration
+        module.stats.record_batch(now, size)
+        self.sim.schedule(end, self._finish_batch, batch)
         # Immediately begin forming the next batch (Figure 3b: collection
         # starts right after the previous batch begins execution).
         self._draw()
@@ -239,12 +253,15 @@ class Worker:
         if batch.aborted:
             return  # the worker died mid-execution (failure injection)
         self.executing = None
-        self.load -= len(batch.requests)
-        for request in batch.requests:
-            self.module.cluster.on_module_done(request, self.module)
+        requests = batch.requests
+        self.load -= len(requests)
+        module = self.module
+        on_module_done = module.cluster.on_module_done
+        for request in requests:
+            on_module_done(request, module)
         if self.forming:
             self._start_batch()
         else:
             self._draw()
-        if self.draining and self.idle:
-            self.module.reap(self)
+        if self._draining and self.load == 0:
+            module.reap(self)

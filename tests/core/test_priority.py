@@ -147,6 +147,25 @@ class TestDeadlineDepqQueue:
         assert q.pop(0.0) is reqs[2]
         assert q.pop(0.0) is reqs[1]
 
+    @pytest.mark.parametrize("mode", PriorityMode.ALL)
+    def test_pop_end_follows_controller_mode(self, mode):
+        """The queue pops the end ``current`` names, including after an
+        adaptive controller switches mode with the queue already built."""
+        module, _ = TestController().make_module()
+        ctrl = AdaptivePriorityController(mode=mode)
+        q = DeadlineDepqQueue(module, ctrl)
+        mid = module.spec.id
+        for switched in (None, PriorityMode.HBF, PriorityMode.LBF):
+            if switched is not None and mode in (
+                PriorityMode.ADAPTIVE, PriorityMode.INSTANT
+            ):
+                ctrl._current[mid] = switched
+            reqs = self.push_three(q)
+            first = reqs[0] if ctrl.current(mid) == PriorityMode.HBF else reqs[1]
+            assert q.pop(0.0) is first
+            while q.pop(0.0) is not None:
+                pass
+
     def test_len_tracks_contents(self):
         q = self.queue(PriorityMode.LBF)
         self.push_three(q)

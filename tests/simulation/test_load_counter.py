@@ -8,6 +8,10 @@ tombstones, resilience duplicates, queue-internal discards (Nexus's
 windowed scan), kills, drains, quotas and the LLM engine — and compare the
 counter with ``len(queue) + len(forming) + len(executing)`` after every
 draw and at the end of the run.
+
+A draw returns early when the counter says nothing is queued, so every
+draw is also checked to leave the forming batch full or the queue empty:
+the early exit must never strand a queued request.
 """
 
 from __future__ import annotations
@@ -61,17 +65,24 @@ def checked_draws(monkeypatch):
     """Check every worker of the module after each draw/engine step."""
     calls = {"draws": 0}
 
-    def wrap(cls, name):
+    def wrap(cls, name, post=None):
         original = getattr(cls, name)
 
         def checked(self, *args):
             original(self, *args)
             calls["draws"] += 1
             assert_loads([self.module])
+            if post is not None:
+                post(self)
 
         monkeypatch.setattr(cls, name, checked)
 
-    wrap(Worker, "_draw")
+    def drained_or_full(worker):
+        assert (len(worker.forming) >= worker.module.target_batch
+                or len(worker.queue) == 0), (worker.module.spec.id,
+                                             worker.worker_id)
+
+    wrap(Worker, "_draw", drained_or_full)
     wrap(LLMWorker, "_step")
     strand = FailureInjector._strand
 
