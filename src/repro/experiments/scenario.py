@@ -13,7 +13,10 @@ worker processes, and fingerprints stably for the on-disk result cache —
 including synthetic custom pipelines and composed traces, which the old
 ``custom_app``/``custom_trace`` live objects could do neither of.  This is
 the deployment-description pattern production serving stacks (Clipper,
-Nexus) use, applied to the experiment surface.
+Nexus) use, applied to the experiment surface.  Every spec class here is
+a :class:`~repro.speccodec.Spec` whose JSON form is declared field by
+field, so parsing, key checks, coercion and fingerprints live in one
+codec.
 
 Resolution happens through the three name-keyed registries:
 :func:`~repro.pipeline.applications.register_application`,
@@ -23,22 +26,40 @@ Resolution happens through the three name-keyed registries:
 
 from __future__ import annotations
 
-import hashlib
 import inspect
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 from ..metrics.goodput import GoodputSpec
 from ..pipeline.applications import APPLICATIONS, Application, get_application
-from ..pipeline.llm_profiles import profile_from_dict, profile_to_dict
+from ..pipeline.llm_profiles import profile_from_dict
 from ..pipeline.profiles import DEFAULT_PROFILES, ModelProfile, ProfileRegistry
 from ..pipeline.spec import ModuleSpec, PipelineSpec, chain
 from ..policies.spec import PolicySpec
 from ..simulation.failures import FailureEvent
 from ..simulation.resilience import HopResilience
 from ..simulation.routing import PathRouter, ProbabilisticRouter, StaticRouter
+from ..speccodec import (
+    ANY,
+    BOOL,
+    COUNTS,
+    FLOAT,
+    INT,
+    STR,
+    Coerce,
+    Spec,
+    at,
+    error,
+    field,
+    mapping,
+    nested,
+    normalize,
+    pairs,
+    plain,
+    seq,
+)
 from ..workload.generators import TRACES, get_trace, stream_trace
 from ..workload.source import ArrivalSource, FileSource
 
@@ -91,7 +112,7 @@ def _contains_mapping(value: Any) -> bool:
     return False
 
 
-def freeze_trace_args(args: Any) -> tuple:
+def freeze_trace_args(args: Any, path: str = "") -> tuple:
     """Validate and freeze generator kwargs into hashable sorted pairs.
 
     Shared by :class:`TraceSpec` and ``ExperimentConfig`` so the two
@@ -100,52 +121,37 @@ def freeze_trace_args(args: Any) -> tuple:
     :func:`_thaw` cannot tell apart from genuine nested lists.  Keys that
     collide with the fixed :func:`~repro.workload.generators.get_trace`
     keywords are rejected too — they would crash with a TypeError at
-    generation time.
+    generation time.  Errors start with ``path`` when given.
     """
-    raw = dict(args)
+    raw = mapping(args, path)
     clashes = {"name", "base_rate", "duration", "seed"} & set(raw)
     if clashes:
-        raise ValueError(
-            "trace args may not override reserved generator keywords: "
-            f"{sorted(clashes)}"
+        raise error(
+            path, "trace args may not override reserved generator "
+            f"keywords: {sorted(clashes)}",
         )
     for key, value in raw.items():
         if _contains_mapping(value):
-            raise ValueError(
-                f"trace arg {key!r} must not contain nested mappings; "
-                "use scalars and (nested) lists"
+            raise error(
+                path, f"trace arg {key!r} must not contain nested "
+                "mappings; use scalars and (nested) lists",
             )
     return _freeze(raw)
 
 
-def _canonical(value: Any) -> Any:
-    """Normalise numeric spelling for fingerprinting.
+#: Generator kwargs: a mapping, frozen into sorted pairs.
+_TRACE_ARGS = Coerce(
+    freeze_trace_args,
+    lambda args: {k: _thaw(v) for k, v in args},
+)
 
-    ``Scenario(duration=8)`` and its JSON round-trip (``8.0``) compare
-    equal, so they must hash equal too — otherwise a spec authored in
-    Python and the same spec re-loaded from a file would miss each
-    other's cache entries.  Bools are checked first (bool is an int
-    subclass); every other int becomes a float.
-    """
-    if isinstance(value, bool) or value is None or isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return float(value)
-    if isinstance(value, dict):
-        return {k: _canonical(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_canonical(v) for v in value]
-    return value
-
-
-def _check_keys(data: dict, allowed: set[str], what: str) -> None:
-    if not isinstance(data, dict):
-        raise ValueError(
-            f"{what} section must be a mapping, got {type(data).__name__}"
-        )
-    unknown = set(data) - allowed
-    if unknown:
-        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+#: An app's model profiles: plain or ``llm`` dicts (the profile dispatch).
+_PROFILE = Coerce(
+    lambda value, path: (
+        value if isinstance(value, ModelProfile)
+        else profile_from_dict(value, path)
+    )
+)
 
 
 def _check_provision_targets(
@@ -187,7 +193,7 @@ def _check_provision_targets(
 
 
 @dataclass(frozen=True)
-class BurstSpec:
+class BurstSpec(Spec):
     """Rate overlay: multiply arrivals by ``factor`` over one window.
 
     Applied via :meth:`~repro.workload.source.ArrivalSource.overlay_burst`;
@@ -195,10 +201,10 @@ class BurstSpec:
     proactive dropping with, declared instead of hand-built.
     """
 
-    start: float
-    length: float
-    factor: float
-    seed: int = 0
+    start: float = field(FLOAT)
+    length: float = field(FLOAT)
+    factor: float = field(FLOAT)
+    seed: int = field(INT, 0)
 
     def __post_init__(self) -> None:
         if self.start < 0:
@@ -208,27 +214,9 @@ class BurstSpec:
         if self.factor <= 0:
             raise ValueError("burst factor must be > 0")
 
-    def to_dict(self) -> dict:
-        return {
-            "start": self.start,
-            "length": self.length,
-            "factor": self.factor,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BurstSpec":
-        _check_keys(data, {"start", "length", "factor", "seed"}, "burst")
-        return cls(
-            start=float(data["start"]),
-            length=float(data["length"]),
-            factor=float(data["factor"]),
-            seed=int(data.get("seed", 0)),
-        )
-
 
 @dataclass(frozen=True)
-class TraceSpec:
+class TraceSpec(Spec):
     """A workload declared as a registered generator plus overlays.
 
     ``base_rate=None`` leaves the rate to the scenario's calibration
@@ -256,18 +244,19 @@ class TraceSpec:
     pre-existing generator spec is unchanged.
     """
 
-    name: str = "tweet"
-    duration: float = 120.0
-    base_rate: float | None = None
-    seed: int | None = None
-    args: tuple = ()
-    scale: float = 1.0
-    bursts: tuple[BurstSpec, ...] = ()
-    path: str | None = None
-    digest: str | None = None
-    stream: bool = False
+    name: str = field(STR, "tweet")
+    duration: float = field(FLOAT, 120.0)
+    base_rate: float | None = field(FLOAT, None)
+    seed: int | None = field(INT, None)
+    args: tuple = field(_TRACE_ARGS, ())
+    scale: float = field(FLOAT, 1.0)
+    bursts: tuple[BurstSpec, ...] = field(seq(nested(BurstSpec)), ())
+    path: str | None = field(STR, None, omit=True)
+    digest: str | None = field(STR, None, omit=True)
+    stream: bool = field(BOOL, False, omit=True)
 
     def __post_init__(self) -> None:
+        normalize(self)
         if self.duration <= 0:
             raise ValueError("trace duration must be > 0")
         if self.base_rate is not None and self.base_rate <= 0:
@@ -287,7 +276,7 @@ class TraceSpec:
                     "file-backed traces take no base_rate: the file fixes "
                     "the arrivals"
                 )
-            if dict(self.args):
+            if self.args:
                 raise ValueError(
                     "file-backed traces take no generator args"
                 )
@@ -302,15 +291,6 @@ class TraceSpec:
             # at run time, not on every spec parse.
             probe = FileSource(self.path, name=self.name)
             object.__setattr__(self, "duration", probe.duration)
-        object.__setattr__(self, "args", freeze_trace_args(self.args))
-        object.__setattr__(
-            self,
-            "bursts",
-            tuple(
-                b if isinstance(b, BurstSpec) else BurstSpec.from_dict(b)
-                for b in self.bursts
-            ),
-        )
         for burst in self.bursts:
             if burst.start >= self.duration:
                 raise ValueError(
@@ -365,90 +345,27 @@ class TraceSpec:
             self.build_base(base_rate, default_seed), default_seed
         )
 
-    def to_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "duration": self.duration,
-            "base_rate": self.base_rate,
-            "seed": self.seed,
-            "args": {k: _thaw(v) for k, v in self.args},
-            "scale": self.scale,
-            "bursts": [b.to_dict() for b in self.bursts],
-        }
-        # Emitted only when set: every pre-existing generator spec keeps
-        # its serialized form — and therefore its cache fingerprint.
-        if self.path is not None:
-            out["path"] = self.path
-        if self.digest is not None:
-            out["digest"] = self.digest
-        if self.stream:
-            out["stream"] = True
-        return out
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "TraceSpec":
-        _check_keys(
-            data,
-            {
-                "name", "duration", "base_rate", "seed", "args", "scale",
-                "bursts", "path", "digest", "stream",
-            },
-            "trace",
-        )
-        return cls(
-            name=str(data.get("name", "tweet")),
-            duration=float(data.get("duration", 120.0)),
-            base_rate=(
-                None if data.get("base_rate") is None
-                else float(data["base_rate"])
-            ),
-            seed=None if data.get("seed") is None else int(data["seed"]),
-            args=dict(data.get("args", {})).items(),
-            scale=float(data.get("scale", 1.0)),
-            bursts=tuple(
-                BurstSpec.from_dict(b) for b in data.get("bursts", [])
-            ),
-            path=None if data.get("path") is None else str(data["path"]),
-            digest=(
-                None if data.get("digest") is None else str(data["digest"])
-            ),
-            stream=bool(data.get("stream", False)),
-        )
-
-
-@dataclass(frozen=True)
-class AppSpec:
+@dataclass(frozen=True, kw_only=True)
+class AppSpec(Spec):
     """An application declared by registered name or as an inline pipeline.
 
     Inline pipelines give ``modules`` (ids, models, DAG edges) plus a
     required ``slo`` and any :class:`~repro.pipeline.profiles.ModelProfile`
     entries their models need beyond the defaults — the serializable form
     of what ``ExperimentConfig.custom_app`` used to carry as a live object.
+    In JSON, ``chain`` (an ordered model list) is shorthand for a linear
+    pipeline's ``modules``.
     """
 
-    name: str | None = None
-    modules: tuple[ModuleSpec, ...] = ()
-    pipeline: str = "custom"
-    slo: float | None = None
-    profiles: tuple[ModelProfile, ...] = ()
+    name: str | None = field(STR, None)
+    pipeline: str = field(STR, "custom")
+    modules: tuple[ModuleSpec, ...] = field(seq(nested(ModuleSpec)), ())
+    slo: float | None = field(FLOAT, None)
+    profiles: tuple[ModelProfile, ...] = field(seq(_PROFILE), ())
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "modules",
-            tuple(
-                m if isinstance(m, ModuleSpec) else self._module_from_dict(m)
-                for m in self.modules
-            ),
-        )
-        object.__setattr__(
-            self,
-            "profiles",
-            tuple(
-                p if isinstance(p, ModelProfile) else profile_from_dict(p)
-                for p in self.profiles
-            ),
-        )
+        normalize(self)
         if (self.name is None) == (not self.modules):
             raise ValueError(
                 "an app spec needs exactly one of: a registered name, or "
@@ -458,16 +375,6 @@ class AppSpec:
             raise ValueError("an inline pipeline requires an explicit slo")
         if self.slo is not None and self.slo <= 0:
             raise ValueError("slo must be > 0")
-
-    @staticmethod
-    def _module_from_dict(data: dict) -> ModuleSpec:
-        _check_keys(data, {"id", "model", "pres", "subs"}, "module")
-        return ModuleSpec(
-            id=str(data["id"]),
-            model=str(data["model"]),
-            pres=tuple(str(p) for p in data.get("pres", ())),
-            subs=tuple(str(s) for s in data.get("subs", ())),
-        )
 
     @classmethod
     def chained(
@@ -510,65 +417,34 @@ class AppSpec:
             merged[profile.name] = profile
         return ProfileRegistry(list(merged.values()))
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "pipeline": self.pipeline,
-            "modules": [
-                {
-                    "id": m.id, "model": m.model,
-                    "pres": list(m.pres), "subs": list(m.subs),
-                }
-                for m in self.modules
-            ],
-            "slo": self.slo,
-            # Either profile flavour: plain fixed-duration dicts or "llm"
-            # token-cost dicts (see repro.pipeline.llm_profiles).
-            "profiles": [profile_to_dict(p) for p in self.profiles],
-        }
-
     @classmethod
-    def from_dict(cls, data: dict) -> "AppSpec":
-        _check_keys(
-            data,
-            {"name", "pipeline", "modules", "chain", "slo", "profiles"},
-            "app",
-        )
-        profiles = tuple(
-            profile_from_dict(p) for p in data.get("profiles", [])
-        )
-        slo = None if data.get("slo") is None else float(data["slo"])
-        if "chain" in data:
+    def from_dict(cls, data: Any, path: str = "") -> "AppSpec":
+        if isinstance(data, Mapping) and "chain" in data:
             if data.get("name") or data.get("modules"):
-                raise ValueError(
-                    "'chain' is exclusive with 'name' and 'modules'"
+                raise error(
+                    path, "'chain' is exclusive with 'name' and 'modules'"
                 )
-            return cls.chained(
-                [str(m) for m in data["chain"]], slo=slo,
-                pipeline=str(data.get("pipeline", "custom")),
-                profiles=profiles,
+            data = dict(data)
+            models = seq(STR).decode(data.pop("chain"), at(path, "chain"))
+            pipeline = STR.decode(
+                data.get("pipeline", "custom"), at(path, "pipeline")
             )
-        return cls(
-            name=None if data.get("name") is None else str(data["name"]),
-            modules=tuple(data.get("modules", ())),
-            pipeline=str(data.get("pipeline", "custom")),
-            slo=slo,
-            profiles=profiles,
-        )
+            data["modules"] = chain(pipeline, list(models)).modules
+        return super().from_dict(data, path)
 
 
 @dataclass(frozen=True)
-class ScalingSpec:
+class ScalingSpec(Spec):
     """Reactive-scaler configuration (replaces the old bare bool knob)."""
 
-    enabled: bool = False
-    interval: float = 2.0
-    cold_start: float = 8.0
-    headroom: float = 1.1
-    min_workers: int = 1
-    max_workers: int = 16
-    scale_in_patience: int = 4
-    graceful_scale_in: bool = False
+    enabled: bool = field(BOOL, False)
+    interval: float = field(FLOAT, 2.0)
+    cold_start: float = field(FLOAT, 8.0)
+    headroom: float = field(FLOAT, 1.1)
+    min_workers: int = field(INT, 1)
+    max_workers: int = field(INT, 16)
+    scale_in_patience: int = field(INT, 4)
+    graceful_scale_in: bool = field(BOOL, False)
 
     def __post_init__(self) -> None:
         if self.interval <= 0:
@@ -586,37 +462,9 @@ class ScalingSpec:
         if self.scale_in_patience < 1:
             raise ValueError("scaling scale_in_patience must be >= 1")
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScalingSpec":
-        allowed = {f.name for f in fields(cls)}
-        _check_keys(data, allowed, "scaling")
-        # Coerce like every sibling from_dict: JSON authors write `8`
-        # where Python holds 8.0, and an uncoerced int would change the
-        # fingerprint of an otherwise-equal scenario.
-        bool_keys = {"enabled", "graceful_scale_in"}
-        int_keys = {"min_workers", "max_workers", "scale_in_patience"}
-        kwargs: dict = {}
-        for key, value in data.items():
-            if key in bool_keys:
-                if not isinstance(value, bool):
-                    raise ValueError(f"scaling {key} must be true/false")
-                kwargs[key] = value
-            elif key in int_keys:
-                if int(value) != value:
-                    raise ValueError(
-                        f"scaling {key} must be an integer, got {value}"
-                    )
-                kwargs[key] = int(value)
-            else:
-                kwargs[key] = float(value)
-        return cls(**kwargs)
-
 
 @dataclass(frozen=True)
-class RouterSpec:
+class RouterSpec(Spec):
     """Declarative fork routing for DAG pipelines.
 
     ``kind="static"`` keeps the default fan-out-to-all semantics;
@@ -630,25 +478,25 @@ class RouterSpec:
     generate_direct split) declared as data.
     """
 
-    kind: str = "static"
-    weights: tuple = ()  # frozen (module id, weight) pairs
-    seed: int | None = None
+    kind: str = field(STR, "static")
+    #: Sorted ``(module id, weight)`` pairs; a mapping is accepted.
+    weights: tuple = field(pairs(ANY), ())
+    seed: int | None = field(INT, None)
 
     def __post_init__(self) -> None:
+        normalize(self)
         if self.kind not in ("static", "probabilistic"):
             raise ValueError(
                 f"router kind must be 'static' or 'probabilistic', "
                 f"got {self.kind!r}"
             )
-        raw = dict(self.weights)
-        if raw and self.kind == "static":
+        if self.weights and self.kind == "static":
             raise ValueError("a static router takes no weights")
-        for key, value in raw.items():
+        for key, value in self.weights:
             if not isinstance(value, (int, float)) or value <= 0:
                 raise ValueError(
                     f"router weight for {key!r} must be > 0, got {value}"
                 )
-        object.__setattr__(self, "weights", _freeze(raw))
 
     def build(self, default_seed: int = 0) -> PathRouter:
         """Resolve to a live :class:`~repro.simulation.routing.PathRouter`."""
@@ -658,25 +506,9 @@ class RouterSpec:
         weights = {str(k): float(v) for k, v in self.weights}
         return ProbabilisticRouter(weights or None, seed=seed)
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "weights": {k: v for k, v in self.weights},
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RouterSpec":
-        _check_keys(data, {"kind", "weights", "seed"}, "router")
-        return cls(
-            kind=str(data.get("kind", "static")),
-            weights=tuple(dict(data.get("weights", {})).items()),
-            seed=None if data.get("seed") is None else int(data["seed"]),
-        )
-
 
 @dataclass(frozen=True)
-class Scenario:
+class Scenario(Spec):
     """One serializable spec from workload to failure injection.
 
     The unit of experiment declaration: runnable in-process via
@@ -685,72 +517,41 @@ class Scenario:
     storable as JSON next to the figures it produces.
     """
 
-    app: AppSpec = field(default_factory=lambda: AppSpec(name="lv"))
-    trace: TraceSpec = field(default_factory=TraceSpec)
-    policy: PolicySpec = field(default_factory=PolicySpec)
-    seed: int = 0
-    workers: int | dict[str, int] | None = None
-    utilization: float | None = None
-    provision_rate: float | None = None
-    provision_headroom: float = 1.0
-    sync_interval: float = 1.0
-    stats_window: float = 5.0
-    drain: float = 5.0
-    scaling: ScalingSpec = field(default_factory=ScalingSpec)
-    failures: tuple[FailureEvent, ...] = ()
-    name: str = ""
+    app: AppSpec = field(
+        nested(AppSpec), default_factory=lambda: AppSpec(name="lv")
+    )
+    trace: TraceSpec = field(nested(TraceSpec), default_factory=TraceSpec)
+    #: A bare name (the legacy spelling) or a ``{name, params}`` mapping.
+    policy: PolicySpec = field(nested(PolicySpec), default_factory=PolicySpec)
+    seed: int = field(INT, 0)
+    workers: int | dict[str, int] | None = field(COUNTS, None)
+    utilization: float | None = field(FLOAT, None)
+    provision_rate: float | None = field(FLOAT, None)
+    provision_headroom: float = field(FLOAT, 1.0)
+    sync_interval: float = field(FLOAT, 1.0)
+    stats_window: float = field(FLOAT, 5.0)
+    drain: float = field(FLOAT, 5.0)
+    scaling: ScalingSpec = field(
+        nested(ScalingSpec), default_factory=ScalingSpec
+    )
+    failures: tuple[FailureEvent, ...] = field(seq(nested(FailureEvent)), ())
+    name: str = field(STR, "")
     #: Token-level SLO constraints (TTFT/TPOT/e2e); when any is declared
     #: the run also produces a :class:`~repro.metrics.goodput.GoodputReport`.
-    goodput: GoodputSpec | None = None
+    goodput: GoodputSpec | None = field(nested(GoodputSpec), None)
     #: Fork routing (None = static fan-out-to-all).
-    router: RouterSpec | None = None
-    #: Per-hop resilience policies, as (module_id, HopResilience) pairs
-    #: (dicts coerce).  Empty — the default — keeps every module on its
-    #: resilience-free fast path and the serialized form key-free, so all
-    #: pre-existing fingerprints are unchanged.
-    resilience: tuple = ()
+    router: RouterSpec | None = field(nested(RouterSpec), None)
+    #: Per-hop resilience policies, as sorted (module_id, HopResilience)
+    #: pairs (a mapping is accepted).  Empty — the default — keeps every
+    #: module on its resilience-free fast path and the serialized form
+    #: key-free, so all pre-existing fingerprints are unchanged.
+    resilience: tuple = field(pairs(nested(HopResilience)), (), omit=True)
 
     def __post_init__(self) -> None:
-        # Accept dict forms for the nested specs too, mirroring how
-        # failures/bursts/modules coerce — Scenario(app={"name": "tm"})
-        # is the natural Python transcription of the JSON shape.
-        if isinstance(self.app, dict):
-            object.__setattr__(self, "app", AppSpec.from_dict(self.app))
-        if isinstance(self.trace, dict):
-            object.__setattr__(self, "trace", TraceSpec.from_dict(self.trace))
-        if not isinstance(self.policy, PolicySpec):
-            # Bare names are the legacy spelling every pre-PolicySpec file
-            # (and test) uses; mappings are the parameterized form.
-            object.__setattr__(self, "policy", PolicySpec.coerce(self.policy))
-        if isinstance(self.scaling, dict):
-            object.__setattr__(
-                self, "scaling", ScalingSpec.from_dict(self.scaling)
-            )
-        if isinstance(self.goodput, dict):
-            object.__setattr__(
-                self, "goodput", GoodputSpec.from_dict(self.goodput)
-            )
-        if isinstance(self.router, dict):
-            object.__setattr__(
-                self, "router", RouterSpec.from_dict(self.router)
-            )
-        if isinstance(self.workers, dict):
-            for key, value in self.workers.items():
-                if int(value) != value:
-                    raise ValueError(
-                        f"workers[{key!r}] must be an integer, got {value}"
-                    )
-            object.__setattr__(
-                self,
-                "workers",
-                {str(k): int(v) for k, v in self.workers.items()},
-            )
-        elif self.workers is not None:
-            if int(self.workers) != self.workers:
-                raise ValueError(
-                    f"workers must be an integer, got {self.workers}"
-                )
-            object.__setattr__(self, "workers", int(self.workers))
+        # Nested sections also accept their dict forms, so
+        # Scenario(app={"name": "tm"}) is the natural Python transcription
+        # of the JSON shape.
+        normalize(self)
         if self.sync_interval <= 0:
             # A zero interval floods the event queue with same-timestamp
             # ticks and the simulation never advances.
@@ -765,37 +566,6 @@ class Scenario:
             raise ValueError("provision_rate must be > 0 (or null)")
         if self.provision_headroom <= 0:
             raise ValueError("provision_headroom must be > 0")
-        object.__setattr__(
-            self,
-            "failures",
-            tuple(
-                e if isinstance(e, FailureEvent) else FailureEvent.from_dict(e)
-                for e in self.failures
-            ),
-        )
-        pairs = (
-            self.resilience.items()
-            if isinstance(self.resilience, dict)
-            else self.resilience
-        )
-        object.__setattr__(
-            self,
-            "resilience",
-            tuple(sorted(
-                (
-                    (
-                        str(mid),
-                        hop if isinstance(hop, HopResilience)
-                        else HopResilience.from_dict(hop),
-                    )
-                    for mid, hop in pairs
-                ),
-                key=lambda pair: pair[0],
-            )),
-        )
-        seen_hops = [mid for mid, _ in self.resilience]
-        if len(set(seen_hops)) != len(seen_hops):
-            raise ValueError("duplicate module id in resilience spec")
         # Fail fast on mistargeted failures/workers: a bad module id in a
         # hand-authored spec should raise here, not as a KeyError minutes
         # into a run.  Apps referencing a not-yet-registered name stay lazy
@@ -950,124 +720,15 @@ class Scenario:
     def build_trace(self, base_rate: float) -> ArrivalSource:
         return self.trace.build(base_rate, default_seed=self.seed)
 
-    # -- serialisation -----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        out = {
-            "app": self.app.to_dict(),
-            "trace": self.trace.to_dict(),
-            # Compact: a param-less policy stays the legacy bare string, so
-            # old files and old fingerprints survive the PolicySpec move.
-            "policy": self.policy.to_compact(),
-            "seed": self.seed,
-            "workers": (
-                dict(self.workers) if isinstance(self.workers, dict)
-                else self.workers
-            ),
-            "utilization": self.utilization,
-            "provision_rate": self.provision_rate,
-            "provision_headroom": self.provision_headroom,
-            "sync_interval": self.sync_interval,
-            "stats_window": self.stats_window,
-            "drain": self.drain,
-            "scaling": self.scaling.to_dict(),
-            "failures": [e.to_dict() for e in self.failures],
-            "name": self.name,
-            "goodput": None if self.goodput is None else self.goodput.to_dict(),
-            "router": None if self.router is None else self.router.to_dict(),
-        }
-        if self.resilience:
-            # Only-when-set (the TenantSpec.quota pattern): resilience-free
-            # scenarios keep their pre-existing fingerprints byte-identical.
-            out["resilience"] = {
-                mid: hop.to_dict() for mid, hop in self.resilience
-            }
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Scenario":
-        _check_keys(
-            data,
-            {
-                "app", "trace", "policy", "seed", "workers", "utilization",
-                "provision_rate", "provision_headroom", "sync_interval",
-                "stats_window", "drain", "scaling", "failures", "name",
-                "goodput", "router", "resilience",
-            },
-            "scenario",
-        )
-        # Both workers forms are normalized/validated by __post_init__.
-        workers = data.get("workers")
-        return cls(
-            app=AppSpec.from_dict(data.get("app", {"name": "lv"})),
-            trace=TraceSpec.from_dict(data.get("trace", {})),
-            # A bare name (legacy) or a {"name", "params"} mapping; the
-            # constructor coerces either into a PolicySpec.
-            policy=PolicySpec.from_dict(data.get("policy", "PARD")),
-            seed=int(data.get("seed", 0)),
-            workers=workers,
-            utilization=(
-                None if data.get("utilization") is None
-                else float(data["utilization"])
-            ),
-            provision_rate=(
-                None if data.get("provision_rate") is None
-                else float(data["provision_rate"])
-            ),
-            provision_headroom=float(data.get("provision_headroom", 1.0)),
-            sync_interval=float(data.get("sync_interval", 1.0)),
-            stats_window=float(data.get("stats_window", 5.0)),
-            drain=float(data.get("drain", 5.0)),
-            scaling=ScalingSpec.from_dict(data.get("scaling", {})),
-            failures=tuple(
-                FailureEvent.from_dict(e) for e in data.get("failures", [])
-            ),
-            name=str(data.get("name", "")),
-            goodput=(
-                None if data.get("goodput") is None
-                else GoodputSpec.from_dict(data["goodput"])
-            ),
-            router=(
-                None if data.get("router") is None
-                else RouterSpec.from_dict(data["router"])
-            ),
-            resilience=data.get("resilience", ()),
-        )
-
     def resilience_map(self) -> dict[str, HopResilience] | None:
         """Runtime form for :class:`Cluster` (``None`` = fast path)."""
         if not self.resilience:
             return None
         return dict(self.resilience)
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
-    @classmethod
-    def from_json(cls, text: str) -> "Scenario":
-        return cls.from_dict(json.loads(text))
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "Scenario":
-        return cls.from_json(Path(path).read_text())
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json() + "\n")
-
-    def fingerprint(self) -> str:
-        """Stable hex digest of the full spec (cache identity).
-
-        Canonical over numeric spelling: equal scenarios fingerprint
-        equally whether fields were authored as ints or floats, in Python
-        or in JSON.
-        """
-        blob = json.dumps(_canonical(self.to_dict()), sort_keys=True,
-                          separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-@dataclass(frozen=True)
-class TenantSpec:
+@dataclass(frozen=True, kw_only=True)
+class TenantSpec(Spec):
     """One weighted tenant of a shared-cluster scenario.
 
     ``weight`` scales the tenant's trace rate, so a two-tenant spec with
@@ -1085,76 +746,36 @@ class TenantSpec:
     isolation knob interference studies sweep.
     """
 
-    scenario: Scenario
-    weight: float = 1.0
-    quota: int | dict[str, int] | None = None
+    weight: float = field(FLOAT, 1.0)
+    scenario: Scenario = field(nested(Scenario))
+    #: Emitted only when set, so pre-quota specs keep their fingerprints.
+    quota: int | dict[str, int] | None = field(COUNTS, None, omit=True)
 
     def __post_init__(self) -> None:
-        if isinstance(self.scenario, dict):
-            object.__setattr__(
-                self, "scenario", Scenario.from_dict(self.scenario)
-            )
+        normalize(self)
         if self.weight <= 0:
             raise ValueError("tenant weight must be > 0")
         if isinstance(self.quota, dict):
-            cleaned = {}
             for key, value in self.quota.items():
-                if int(value) != value:
-                    raise ValueError(
-                        f"tenant quota[{key!r}] must be an integer, "
-                        f"got {value}"
-                    )
                 if value < 1:
                     raise ValueError(
                         f"tenant quota[{key!r}] must be >= 1, got {value}"
                     )
-                cleaned[str(key)] = int(value)
-            if not cleaned:
+            if not self.quota:
                 raise ValueError(
                     "a tenant quota mapping needs at least one pool entry"
                 )
-            object.__setattr__(self, "quota", cleaned)
-        elif self.quota is not None:
-            if int(self.quota) != self.quota:
-                raise ValueError(
-                    f"tenant quota must be an integer, got {self.quota}"
-                )
-            if self.quota < 1:
-                raise ValueError(
-                    f"tenant quota must be >= 1, got {self.quota}"
-                )
-            object.__setattr__(self, "quota", int(self.quota))
+        elif self.quota is not None and self.quota < 1:
+            raise ValueError(f"tenant quota must be >= 1, got {self.quota}")
 
     def label(self) -> str:
         """The tenant's identity inside the shared cluster."""
         s = self.scenario
         return s.name or s.app.name or s.app.pipeline
 
-    def to_dict(self) -> dict:
-        out = {"weight": self.weight, "scenario": self.scenario.to_dict()}
-        # Emitted only when set, so pre-quota specs keep their serialized
-        # form — and therefore their cache fingerprints.
-        if self.quota is not None:
-            out["quota"] = (
-                dict(self.quota) if isinstance(self.quota, dict)
-                else self.quota
-            )
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TenantSpec":
-        _check_keys(data, {"weight", "scenario", "quota"}, "tenant")
-        if "scenario" not in data:
-            raise ValueError("tenant entry missing required key 'scenario'")
-        return cls(
-            scenario=Scenario.from_dict(data["scenario"]),
-            weight=float(data.get("weight", 1.0)),
-            quota=data.get("quota"),
-        )
-
 
 @dataclass(frozen=True)
-class MultiScenario:
+class MultiScenario(Spec):
     """A shared cluster serving several weighted tenant scenarios.
 
     The multi-tenant unit of declaration: N tenants (each a full
@@ -1167,61 +788,29 @@ class MultiScenario:
     workers and fingerprints into the disk cache.
     """
 
-    tenants: tuple[TenantSpec, ...] = ()
-    workers: int | dict[str, int] | None = None  # keyed by pool id
-    scaling: ScalingSpec = field(default_factory=ScalingSpec)
-    failures: tuple[FailureEvent, ...] = ()  # module_id is a pool id
-    provision_headroom: float = 1.0
-    sync_interval: float = 1.0
-    stats_window: float = 5.0
-    drain: float = 5.0
-    seed: int = 0
-    name: str = ""
+    tenants: tuple[TenantSpec, ...] = field(seq(nested(TenantSpec)), ())
+    #: Keyed by pool id.
+    workers: int | dict[str, int] | None = field(COUNTS, None)
+    scaling: ScalingSpec = field(
+        nested(ScalingSpec), default_factory=ScalingSpec
+    )
+    #: ``module_id`` is a pool id.
+    failures: tuple[FailureEvent, ...] = field(seq(nested(FailureEvent)), ())
+    provision_headroom: float = field(FLOAT, 1.0)
+    sync_interval: float = field(FLOAT, 1.0)
+    stats_window: float = field(FLOAT, 5.0)
+    drain: float = field(FLOAT, 5.0)
+    seed: int = field(INT, 0)
+    name: str = field(STR, "")
     #: Cross-app fairness policy on the admission seam (None = tenants'
     #: own policies only); resolved via the admission registry
     #: (:func:`repro.policies.registry.register_admission`).
-    admission: PolicySpec | None = None
+    admission: PolicySpec | None = field(nested(PolicySpec), None)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "tenants",
-            tuple(
-                t if isinstance(t, TenantSpec) else TenantSpec.from_dict(t)
-                for t in self.tenants
-            ),
-        )
+        normalize(self)
         if not self.tenants:
             raise ValueError("a multi scenario needs at least one tenant")
-        if isinstance(self.workers, dict):
-            for key, value in self.workers.items():
-                if int(value) != value:
-                    raise ValueError(
-                        f"workers[{key!r}] must be an integer, got {value}"
-                    )
-            object.__setattr__(
-                self,
-                "workers",
-                {str(k): int(v) for k, v in self.workers.items()},
-            )
-        elif self.workers is not None:
-            if int(self.workers) != self.workers:
-                raise ValueError(
-                    f"workers must be an integer, got {self.workers}"
-                )
-            object.__setattr__(self, "workers", int(self.workers))
-        if isinstance(self.scaling, dict):
-            object.__setattr__(
-                self, "scaling", ScalingSpec.from_dict(self.scaling)
-            )
-        object.__setattr__(
-            self,
-            "failures",
-            tuple(
-                e if isinstance(e, FailureEvent) else FailureEvent.from_dict(e)
-                for e in self.failures
-            ),
-        )
         if self.provision_headroom <= 0:
             raise ValueError("provision_headroom must be > 0")
         if self.sync_interval <= 0:
@@ -1230,12 +819,6 @@ class MultiScenario:
             raise ValueError("stats_window must be > 0")
         if self.drain < 0:
             raise ValueError("drain must be >= 0")
-        if self.admission is not None and not isinstance(
-            self.admission, PolicySpec
-        ):
-            object.__setattr__(
-                self, "admission", PolicySpec.coerce(self.admission)
-            )
         # Fail fast on structural mistakes (same contract as Scenario):
         # duplicate tenant labels, out-of-range failure times and —
         # whenever every tenant app resolves now — mistargeted pool
@@ -1395,82 +978,10 @@ class MultiScenario:
                 )
         return self
 
-    # -- serialisation -----------------------------------------------------
 
-    def to_dict(self) -> dict:
-        return {
-            "tenants": [t.to_dict() for t in self.tenants],
-            "workers": (
-                dict(self.workers) if isinstance(self.workers, dict)
-                else self.workers
-            ),
-            "scaling": self.scaling.to_dict(),
-            "failures": [e.to_dict() for e in self.failures],
-            "provision_headroom": self.provision_headroom,
-            "sync_interval": self.sync_interval,
-            "stats_window": self.stats_window,
-            "drain": self.drain,
-            "seed": self.seed,
-            "name": self.name,
-            "admission": (
-                None if self.admission is None else self.admission.to_compact()
-            ),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MultiScenario":
-        _check_keys(
-            data,
-            {
-                "tenants", "workers", "scaling", "failures",
-                "provision_headroom", "sync_interval", "stats_window",
-                "drain", "seed", "name", "admission",
-            },
-            "multi scenario",
-        )
-        return cls(
-            tenants=tuple(
-                TenantSpec.from_dict(t) for t in data.get("tenants", [])
-            ),
-            workers=data.get("workers"),
-            scaling=ScalingSpec.from_dict(data.get("scaling", {})),
-            failures=tuple(
-                FailureEvent.from_dict(e) for e in data.get("failures", [])
-            ),
-            provision_headroom=float(data.get("provision_headroom", 1.0)),
-            sync_interval=float(data.get("sync_interval", 1.0)),
-            stats_window=float(data.get("stats_window", 5.0)),
-            drain=float(data.get("drain", 5.0)),
-            seed=int(data.get("seed", 0)),
-            name=str(data.get("name", "")),
-            admission=(
-                None if data.get("admission") is None
-                else PolicySpec.from_dict(data["admission"])
-            ),
-        )
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MultiScenario":
-        return cls.from_dict(json.loads(text))
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "MultiScenario":
-        return cls.from_json(Path(path).read_text())
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json() + "\n")
-
-    def fingerprint(self) -> str:
-        """Stable hex digest of the full spec (cache identity)."""
-        blob = json.dumps(_canonical(self.to_dict()), sort_keys=True,
-                          separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def scenario_from_dict(data: dict) -> "Scenario | MultiScenario | SweepSpec":
+def scenario_from_dict(
+    data: Any, path: str = ""
+) -> "Scenario | MultiScenario | SweepSpec":
     """Parse any scenario-file schema, auto-detected.
 
     A mapping with a ``base`` key is a :class:`SweepSpec` (a scenario plus
@@ -1479,14 +990,54 @@ def scenario_from_dict(data: dict) -> "Scenario | MultiScenario | SweepSpec":
     use this so one ``--file`` flag serves all three shapes.
     """
     if not isinstance(data, dict):
-        raise ValueError(
-            f"scenario file must hold a JSON object, got {type(data).__name__}"
+        raise error(
+            path, "a scenario must be a JSON object, got "
+            f"{type(data).__name__}",
         )
     if "base" in data or "axes" in data:
-        return SweepSpec.from_dict(data)
+        return SweepSpec.from_dict(data, path)
     if "tenants" in data:
-        return MultiScenario.from_dict(data)
-    return Scenario.from_dict(data)
+        return MultiScenario.from_dict(data, path)
+    return Scenario.from_dict(data, path)
+
+
+#: Any scenario schema (see :func:`scenario_from_dict`).
+ANY_SCENARIO = Coerce(
+    lambda value, path: (
+        value if isinstance(value, (Scenario, MultiScenario, SweepSpec))
+        else scenario_from_dict(value, path)
+    )
+)
+
+
+def _decode_axes(value: Any, path: str) -> tuple:
+    """Sweep axes as ``((axis, (value, ...)), ...)`` in declaration order.
+
+    Value lists are non-empty and scalar, except on the policy-valued
+    axes, whose values coerce to :class:`PolicySpec`.
+    """
+    frozen = []
+    for axis, values in mapping(value, path).items():
+        where = at(path, axis)
+        policy_axis = axis in ("policy", "admission")
+        values = seq(nested(PolicySpec) if policy_axis else ANY).decode(
+            values, where
+        )
+        if not values:
+            raise error(where, f"sweep axis {axis!r} has no values")
+        if not policy_axis and any(
+            isinstance(v, (dict, list, tuple)) for v in values
+        ):
+            raise error(where, f"sweep axis {axis!r} values must be scalars")
+        frozen.append((str(axis), values))
+    return tuple(frozen)
+
+
+#: Sweep and study axes.
+AXES = Coerce(
+    _decode_axes,
+    lambda axes: {axis: [plain(v) for v in values] for axis, values in axes},
+)
 
 
 def load_scenario_file(path: str | Path) -> "Scenario | MultiScenario | SweepSpec":
@@ -1625,8 +1176,8 @@ def scenario_axes(
     return out
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+@dataclass(frozen=True, kw_only=True)
+class SweepSpec(Spec):
     """A declarative sweep: one base spec plus named axes, as one file.
 
     The serializable form of :func:`scenario_axes` — ``repro scenario
@@ -1638,34 +1189,15 @@ class SweepSpec:
          "axes": {"policy.lam": [0.05, 0.1, 0.3], "seed": [0, 1]}}
     """
 
-    base: "Scenario | MultiScenario"
-    axes: tuple = ()  # ((axis, (value, ...)), ...) in declaration order
-    name: str = ""
+    name: str = field(STR, "")
+    base: "Scenario | MultiScenario" = field(ANY_SCENARIO)
+    #: ``((axis, (value, ...)), ...)`` in declaration order.
+    axes: tuple = field(AXES, ())
 
     def __post_init__(self) -> None:
-        if isinstance(self.base, dict):
-            object.__setattr__(self, "base", scenario_from_dict(self.base))
+        normalize(self)
         if isinstance(self.base, SweepSpec):
             raise ValueError("sweep specs do not nest")
-        raw = (
-            self.axes.items() if isinstance(self.axes, Mapping) else self.axes
-        )
-        frozen: list[tuple[str, tuple]] = []
-        for axis, values in raw:
-            axis = str(axis)
-            values = list(values)
-            if not values:
-                raise ValueError(f"sweep axis {axis!r} has no values")
-            if axis in ("policy", "admission"):
-                values = [PolicySpec.coerce(v) for v in values]
-            else:
-                bad = [v for v in values if isinstance(v, (dict, list, tuple))]
-                if bad:
-                    raise ValueError(
-                        f"sweep axis {axis!r} values must be scalars"
-                    )
-            frozen.append((axis, tuple(values)))
-        object.__setattr__(self, "axes", tuple(frozen))
 
     def expand(self) -> "list[Scenario | MultiScenario]":
         """The grid, in deterministic declaration order."""
@@ -1676,40 +1208,6 @@ class SweepSpec:
         for spec in self.expand():
             spec.validate()
         return self
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "base": self.base.to_dict(),
-            "axes": {
-                axis: [
-                    v.to_compact() if isinstance(v, PolicySpec) else v
-                    for v in values
-                ]
-                for axis, values in self.axes
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SweepSpec":
-        _check_keys(data, {"base", "axes", "name"}, "sweep")
-        if "base" not in data:
-            raise ValueError("a sweep file requires a 'base' scenario")
-        axes = data.get("axes", {})
-        if not isinstance(axes, dict):
-            raise ValueError("sweep 'axes' must be a mapping of axis -> values")
-        return cls(
-            base=scenario_from_dict(data["base"]),
-            axes=tuple(axes.items()),
-            name=str(data.get("name", "")),
-        )
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "SweepSpec":
-        return cls.from_dict(json.loads(Path(path).read_text()))
 
 
 def multi_scenario_grid(

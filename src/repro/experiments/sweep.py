@@ -53,7 +53,8 @@ from .runner import (
     run_multi_scenario,
     run_scenario,
 )
-from .scenario import MultiScenario, Scenario, _canonical
+from ..speccodec import fingerprint
+from .scenario import MultiScenario, Scenario
 
 #: Fingerprint schema version; bump when the cached payload shape changes.
 _CACHE_SCHEMA = 2
@@ -299,9 +300,7 @@ def cell_fingerprint(cell: SweepCell) -> str | None:
         payload["registry"] = _registry_fingerprint(config)
     # Canonical over numeric spelling: equal cells authored with int vs
     # float fields (25 vs 25.0) must share one cache identity.
-    blob = json.dumps(_canonical(payload), sort_keys=True,
-                      separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return fingerprint(payload)
 
 
 class SweepCache:

@@ -18,9 +18,10 @@ from those counters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any
 
 from ..simulation.request import RequestStatus
+from ..speccodec import FLOAT, Spec, field
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .collector import MetricsCollector
@@ -29,7 +30,7 @@ _SPEC_KEYS = ("ttft", "tpot", "e2e")
 
 
 @dataclass(frozen=True)
-class GoodputSpec:
+class GoodputSpec(Spec):
     """Per-metric latency constraints, all in seconds; ``None`` = unconstrained.
 
     * ``ttft`` — first token within this budget of ``sent_at``.
@@ -37,9 +38,9 @@ class GoodputSpec:
     * ``e2e``  — end-to-end completion latency.
     """
 
-    ttft: float | None = None
-    tpot: float | None = None
-    e2e: float | None = None
+    ttft: float | None = field(FLOAT, None)
+    tpot: float | None = field(FLOAT, None)
+    e2e: float | None = field(FLOAT, None)
 
     def __post_init__(self) -> None:
         for name in _SPEC_KEYS:
@@ -51,16 +52,6 @@ class GoodputSpec:
     def declared(self) -> bool:
         """True when at least one constraint is set."""
         return self.ttft is not None or self.tpot is not None or self.e2e is not None
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"ttft": self.ttft, "tpot": self.tpot, "e2e": self.e2e}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "GoodputSpec":
-        unknown = set(data) - set(_SPEC_KEYS)
-        if unknown:
-            raise ValueError(f"unknown GoodputSpec keys: {sorted(unknown)}")
-        return cls(**dict(data))
 
 
 def constraint_checks(spec: GoodputSpec, request) -> tuple[bool, bool, bool]:

@@ -19,11 +19,12 @@ costs directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 import numpy as np
 
+from ..speccodec import BOOL, FLOAT, INT, STR, Spec, field, nested
 from .applications import Application, register_application
 from .profiles import DEFAULT_PROFILES, ModelProfile
 from .spec import ModuleSpec, PipelineSpec, chain
@@ -32,7 +33,7 @@ _DIST_KINDS = ("constant", "uniform", "lognormal")
 
 
 @dataclass(frozen=True)
-class TokenDist:
+class TokenDist(Spec):
     """Seeded distribution of token counts (prompt or output lengths).
 
     ``kind`` selects the shape:
@@ -48,11 +49,11 @@ class TokenDist:
     sentinel on :class:`~repro.simulation.request.ModuleVisit`.
     """
 
-    kind: str = "constant"
-    mean: float = 128.0
-    low: float = 1.0
-    high: float = 1.0
-    sigma: float = 0.5
+    kind: str = field(STR, "constant")
+    mean: float = field(FLOAT, 128.0)
+    low: float = field(FLOAT, 1.0)
+    high: float = field(FLOAT, 1.0)
+    sigma: float = field(FLOAT, 0.5)
 
     def __post_init__(self) -> None:
         if self.kind not in _DIST_KINDS:
@@ -87,22 +88,6 @@ class TokenDist:
             return (self.low + self.high) / 2.0
         return self.mean
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "mean": self.mean,
-            "low": self.low,
-            "high": self.high,
-            "sigma": self.sigma,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TokenDist":
-        unknown = set(data) - {"kind", "mean", "low", "high", "sigma"}
-        if unknown:
-            raise ValueError(f"unknown TokenDist keys: {sorted(unknown)}")
-        return cls(**dict(data))
-
 
 @dataclass(frozen=True)
 class LLMProfile(ModelProfile):
@@ -134,21 +119,22 @@ class LLMProfile(ModelProfile):
     ``base``/``per_item`` are derived from the phase costs and the
     distribution expectations unless given explicitly, so the profile
     plugs into batch planning and provisioning as a normal
-    :class:`ModelProfile`.
+    :class:`ModelProfile`.  Being derived, they are not serialized.
     """
 
     base: float = 0.0  # derived in __post_init__ when left at 0
     per_item: float = 0.0
-    prefill_base: float = 0.004
-    prefill_per_token: float = 0.00002
-    decode_base: float = 0.002
-    decode_per_token: float = 0.0001
-    kv_capacity: int = 8192
-    prompt_dist: TokenDist = field(default_factory=TokenDist)
+    prefill_base: float = field(FLOAT, 0.004)
+    prefill_per_token: float = field(FLOAT, 0.00002)
+    decode_base: float = field(FLOAT, 0.002)
+    decode_per_token: float = field(FLOAT, 0.0001)
+    kv_capacity: int = field(INT, 8192)
+    prompt_dist: TokenDist = field(nested(TokenDist), default_factory=TokenDist)
     output_dist: TokenDist = field(
-        default_factory=lambda: TokenDist(kind="constant", mean=64.0)
+        nested(TokenDist),
+        default_factory=lambda: TokenDist(kind="constant", mean=64.0),
     )
-    preempt: bool = False
+    preempt: bool = field(BOOL, False)
 
     def __post_init__(self) -> None:
         if min(
@@ -198,36 +184,14 @@ class LLMProfile(ModelProfile):
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-friendly dict (``base``/``per_item`` stay derived)."""
-        return {
-            "kind": "llm",
-            "name": self.name,
-            "max_batch": self.max_batch,
-            "prefill_base": self.prefill_base,
-            "prefill_per_token": self.prefill_per_token,
-            "decode_base": self.decode_base,
-            "decode_per_token": self.decode_per_token,
-            "kv_capacity": self.kv_capacity,
-            "prompt_dist": self.prompt_dist.to_dict(),
-            "output_dist": self.output_dist.to_dict(),
-            "preempt": self.preempt,
-        }
+        """The ``"kind": "llm"`` tag first, then the declared fields."""
+        return {"kind": "llm", **super().to_dict()}
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "LLMProfile":
-        allowed = {
-            "kind", "name", "max_batch", "prefill_base", "prefill_per_token",
-            "decode_base", "decode_per_token", "kv_capacity", "prompt_dist",
-            "output_dist", "preempt",
-        }
-        unknown = set(data) - allowed
-        if unknown:
-            raise ValueError(f"unknown LLMProfile keys: {sorted(unknown)}")
-        kwargs = {k: v for k, v in data.items() if k != "kind"}
-        for key in ("prompt_dist", "output_dist"):
-            if key in kwargs and isinstance(kwargs[key], Mapping):
-                kwargs[key] = TokenDist.from_dict(kwargs[key])
-        return cls(**kwargs)
+    def from_dict(cls, data: Any, path: str = "") -> "LLMProfile":
+        if isinstance(data, Mapping):
+            data = {k: v for k, v in data.items() if k != "kind"}
+        return super().from_dict(data, path)
 
 
 def is_llm_profile_dict(data: Mapping[str, Any]) -> bool:
@@ -235,28 +199,11 @@ def is_llm_profile_dict(data: Mapping[str, Any]) -> bool:
     return data.get("kind") == "llm" or "prefill_base" in data
 
 
-def profile_from_dict(data: Mapping[str, Any]) -> ModelProfile:
+def profile_from_dict(data: Any, path: str = "") -> ModelProfile:
     """Deserialize either profile flavour from its dict form."""
-    if is_llm_profile_dict(data):
-        return LLMProfile.from_dict(data)
-    return ModelProfile(
-        name=data["name"],
-        base=data["base"],
-        per_item=data["per_item"],
-        max_batch=data.get("max_batch", 32),
-    )
-
-
-def profile_to_dict(profile: ModelProfile) -> dict[str, Any]:
-    """Serialize either profile flavour to its dict form."""
-    if isinstance(profile, LLMProfile):
-        return profile.to_dict()
-    return {
-        "name": profile.name,
-        "base": profile.base,
-        "per_item": profile.per_item,
-        "max_batch": profile.max_batch,
-    }
+    if isinstance(data, Mapping) and is_llm_profile_dict(data):
+        return LLMProfile.from_dict(data, path)
+    return ModelProfile.from_dict(data, path)
 
 
 # Default token-level profiles, registered next to the vision models so

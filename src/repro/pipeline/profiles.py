@@ -12,9 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..speccodec import FLOAT, INT, STR, Spec, field
+
 
 @dataclass(frozen=True)
-class ModelProfile:
+class ModelProfile(Spec):
     """Profiled batch-latency curve of one DNN model.
 
     Parameters
@@ -29,10 +31,10 @@ class ModelProfile:
         Largest batch size the model (GPU memory) supports.
     """
 
-    name: str
-    base: float
-    per_item: float
-    max_batch: int = 32
+    name: str = field(STR)
+    base: float = field(FLOAT)
+    per_item: float = field(FLOAT)
+    max_batch: int = field(INT, 32)
 
     def __post_init__(self) -> None:
         if self.base <= 0 or self.per_item <= 0:

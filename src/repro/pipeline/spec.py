@@ -40,20 +40,22 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 
 import networkx as nx
 
+from ..speccodec import STR, Spec, field, seq
+
 
 @dataclass(frozen=True)
-class ModuleSpec:
+class ModuleSpec(Spec):
     """One module (one DNN model) in the pipeline DAG."""
 
-    id: str
-    model: str
-    pres: tuple[str, ...] = ()
-    subs: tuple[str, ...] = ()
+    id: str = field(STR)
+    model: str = field(STR)
+    pres: tuple[str, ...] = field(seq(STR), ())
+    subs: tuple[str, ...] = field(seq(STR), ())
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,7 +85,7 @@ class PipelineSpec:
     """
 
     name: str
-    modules: list[ModuleSpec] = field(default_factory=list)
+    modules: list[ModuleSpec] = dataclass_field(default_factory=list)
 
     def __post_init__(self) -> None:
         self._by_id = {m.id: m for m in self.modules}

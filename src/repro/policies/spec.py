@@ -18,10 +18,10 @@ into a sweep.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
+
+from ..speccodec import STR, Coerce, Spec, coerce_scalar, error, field, normalize, pairs
 
 __all__ = ["ParamSpec", "PolicySpec"]
 
@@ -56,26 +56,10 @@ class ParamSpec:
 
         Numeric spelling is normalised (JSON authors write ``8`` where
         Python holds ``8.0``) so equal specs fingerprint equally; genuine
-        type mismatches raise with the offending policy/param named.
+        type mismatches raise with the offending policy/param named.  The
+        type rules are the spec codec's scalar rules.
         """
-        if self.type == "bool":
-            if not isinstance(value, bool):
-                raise ValueError(f"{where} must be true/false, got {value!r}")
-            out: Any = value
-        elif self.type == "int":
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{where} must be an integer, got {value!r}")
-            if int(value) != value:
-                raise ValueError(f"{where} must be an integer, got {value!r}")
-            out = int(value)
-        elif self.type == "float":
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{where} must be a number, got {value!r}")
-            out = float(value)
-        else:
-            if not isinstance(value, str):
-                raise ValueError(f"{where} must be a string, got {value!r}")
-            out = value
+        out = coerce_scalar(self.type, value, where)
         if self.choices and out not in self.choices:
             raise ValueError(
                 f"{where} must be one of {list(self.choices)}, got {value!r}"
@@ -88,8 +72,17 @@ class ParamSpec:
         return f"{self.name}={self.default} ({kind})"
 
 
+def _scalar_param(value: Any, path: str) -> Any:
+    if not isinstance(value, _SCALARS):
+        raise error(
+            path, "a policy param must be a scalar (bool/int/float/str), "
+            f"got {type(value).__name__}",
+        )
+    return value
+
+
 @dataclass(frozen=True)
-class PolicySpec:
+class PolicySpec(Spec):
     """A registered policy name plus typed construction parameters.
 
     The first-class unit of policy configuration: scenarios carry one,
@@ -98,32 +91,18 @@ class PolicySpec:
     (:func:`repro.policies.registry.make_policy`).  ``params`` holds only
     the *authored* knobs — unset parameters fall to the factory defaults,
     so a bare ``PolicySpec("PARD")`` is byte-identical to the legacy string
-    form in serialized scenarios (see :meth:`to_compact`).
+    form in serialized scenarios (see :meth:`to_dict`).
     """
 
-    name: str = "PARD"
-    params: tuple = ()  # sorted ((key, value), ...) pairs
+    name: str = field(STR, "PARD")
+    #: Sorted ``((key, value), ...)`` pairs; a mapping is accepted.
+    params: tuple = field(pairs(Coerce(_scalar_param)), ())
 
     def __post_init__(self) -> None:
         if not self.name or not isinstance(self.name, str):
             raise ValueError(f"policy name must be a non-empty string, "
                              f"got {self.name!r}")
-        raw: Iterable
-        if isinstance(self.params, Mapping):
-            raw = self.params.items()
-        else:
-            raw = self.params
-        pairs = sorted((str(k), v) for k, v in raw)
-        keys = [k for k, _ in pairs]
-        if len(set(keys)) != len(keys):
-            raise ValueError(f"duplicate params for policy {self.name!r}")
-        for key, value in pairs:
-            if not isinstance(value, _SCALARS):
-                raise ValueError(
-                    f"policy param {key!r} must be a scalar "
-                    f"(bool/int/float/str), got {type(value).__name__}"
-                )
-        object.__setattr__(self, "params", tuple(pairs))
+        normalize(self)
         # Validate eagerly when the name is already registered (the normal
         # case); unregistered names stay lazy so registration order is
         # flexible, and validate() is the authoritative check.
@@ -212,61 +191,24 @@ class PolicySpec:
         Bare strings are the legacy form every existing scenario file uses;
         mappings are the explicit form; specs pass through.
         """
-        if isinstance(value, cls):
-            return value
-        if isinstance(value, str):
-            return cls(name=value)
-        if isinstance(value, Mapping):
-            return cls.from_dict(dict(value))
-        raise ValueError(
-            f"policy must be a name, a mapping or a PolicySpec, "
-            f"got {type(value).__name__}"
-        )
+        return value if isinstance(value, cls) else cls.from_dict(value)
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "params": self.param_dict()}
+    def to_dict(self) -> "str | dict":
+        """The compact form: a param-less spec is its bare name.
 
-    def to_compact(self) -> "str | dict":
-        """The serialized form scenarios embed.
-
-        A param-less spec serializes back to the bare string, so legacy
-        files round-trip byte-identically and the two spellings share one
-        fingerprint.
+        Legacy files round-trip byte-identically and the two spellings
+        share one fingerprint.
         """
-        if not self.params:
-            return self.name
-        return self.to_dict()
+        return super().to_dict() if self.params else self.name
 
     @classmethod
-    def from_dict(cls, data: "dict | str") -> "PolicySpec":
+    def from_dict(cls, data: Any, path: str = "") -> "PolicySpec":
         if isinstance(data, str):
-            return cls(name=data)
-        unknown = set(data) - {"name", "params"}
-        if unknown:
-            raise ValueError(f"unknown policy keys: {sorted(unknown)}")
-        if "name" not in data:
-            raise ValueError("policy mapping requires a 'name'")
-        return cls(name=str(data["name"]), params=dict(data.get("params", {})))
-
-    def fingerprint(self) -> str:
-        """Stable hex digest of the configured point (cache identity).
-
-        Canonical over numeric spelling even when the name is not yet
-        registered (schema coercion then never ran): ``lam=1`` and
-        ``lam=1.0`` must share one cache identity either way.
-        """
-
-        def canonical(value):
-            if isinstance(value, bool):
-                return value
-            if isinstance(value, int):
-                return float(value)
-            return value
-
-        compact = self.to_compact()
-        if isinstance(compact, dict):
-            compact = dict(compact, params={
-                k: canonical(v) for k, v in compact["params"].items()
-            })
-        blob = json.dumps(compact, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+            data = {"name": data}
+        elif not isinstance(data, Mapping):
+            raise error(
+                path, f"policy must be a name or a mapping, got {data!r}"
+            )
+        elif "name" not in data:
+            raise error(path, "a policy mapping requires a 'name'")
+        return super().from_dict(data, path)

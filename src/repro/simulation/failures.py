@@ -24,8 +24,9 @@ old format for worker kills.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field as dataclass_field
 
+from ..speccodec import FLOAT, INT, STR, Spec, field
 from .cluster import Cluster
 from .request import RequestStatus
 
@@ -33,7 +34,7 @@ FAULT_KINDS = ("kill", "degrade", "link")
 
 
 @dataclass(frozen=True)
-class FailureEvent:
+class FailureEvent(Spec):
     """One injected fault (see the module docstring for the kinds).
 
     Serialization is kind-aware: a legacy worker kill emits exactly the
@@ -43,13 +44,15 @@ class FailureEvent:
     on top.
     """
 
-    time: float
-    module_id: str
-    workers: int = 1
-    downtime: float = 10.0
-    kind: str = "kill"
-    dst: str | None = None  # link faults: the edge module_id -> dst
-    factor: float = 2.0  # degrade faults: service-time multiplier
+    time: float = field(FLOAT)
+    module_id: str = field(STR)
+    workers: int = field(INT, 1)
+    downtime: float = field(FLOAT, 10.0)
+    kind: str = field(STR, "kill", omit=True)
+    #: Link faults: the edge module_id -> dst.
+    dst: str | None = field(STR, None, omit=True)
+    #: Degrade faults: service-time multiplier.
+    factor: float = field(FLOAT, 2.0, omit=lambda e: e.kind != "degrade")
 
     def __post_init__(self) -> None:
         if self.time < 0:
@@ -69,44 +72,6 @@ class FailureEvent:
             raise ValueError(f"dst only applies to link faults, not {self.kind!r}")
         if self.kind == "degrade" and self.factor <= 1.0:
             raise ValueError("degrade factor must be > 1.0")
-
-    def to_dict(self) -> dict:
-        """Plain-data form for scenario files (legacy-stable for kills)."""
-        out = {
-            "time": self.time,
-            "module_id": self.module_id,
-            "workers": self.workers,
-            "downtime": self.downtime,
-        }
-        if self.kind != "kill":
-            out["kind"] = self.kind
-        if self.dst is not None:
-            out["dst"] = self.dst
-        if self.kind == "degrade":
-            out["factor"] = self.factor
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FailureEvent":
-        unknown = set(data) - {
-            "time", "module_id", "workers", "downtime", "kind", "dst", "factor",
-        }
-        if unknown:
-            raise ValueError(f"unknown failure-event keys: {sorted(unknown)}")
-        missing = {"time", "module_id"} - set(data)
-        if missing:
-            raise ValueError(
-                f"failure event missing required keys: {sorted(missing)}"
-            )
-        return cls(
-            time=float(data["time"]),
-            module_id=str(data["module_id"]),
-            workers=int(data.get("workers", 1)),
-            downtime=float(data.get("downtime", 10.0)),
-            kind=str(data.get("kind", "kill")),
-            dst=None if data.get("dst") is None else str(data["dst"]),
-            factor=float(data.get("factor", 2.0)),
-        )
 
 
 @dataclass(frozen=True)
@@ -159,8 +124,8 @@ class FailureInjector:
     """Applies a schedule of :class:`FailureEvent` to a cluster."""
 
     cluster: Cluster
-    events: list[FailureEvent] = field(default_factory=list)
-    records: list[FaultRecord] = field(default_factory=list)
+    events: list[FailureEvent] = dataclass_field(default_factory=list)
+    records: list[FaultRecord] = dataclass_field(default_factory=list)
 
     @property
     def log(self) -> list[str]:

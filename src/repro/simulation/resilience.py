@@ -32,8 +32,9 @@ request already visited degrades to a drop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
+from ..speccodec import FLOAT, INT, STR, Spec, at, check_keys, field
 from .request import DropReason, Request, RequestStatus
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -56,17 +57,29 @@ def descendants(spec, module_id: str) -> set[str]:
     return out
 
 
-@dataclass(frozen=True)
-class HopResilience:
-    """Declarative resilience configuration for one pipeline module."""
+def _no_timeout(hop: "HopResilience") -> bool:
+    return hop.timeout is None
 
-    timeout: float | None = None
-    on_timeout: str = "retry"
-    retry_max: int = 1
-    backoff_base: float = 0.05
-    backoff_jitter: float = 0.0
-    hedge: float | None = None
-    fallback: str | None = None
+
+@dataclass(frozen=True)
+class HopResilience(Spec):
+    """Declarative resilience configuration for one pipeline module.
+
+    The JSON form groups the retry knobs as ``retry: {max, base,
+    jitter}``; it and ``on_timeout`` are written only with a timeout.
+    """
+
+    timeout: float | None = field(FLOAT, None, omit=True)
+    on_timeout: str = field(STR, "retry", omit=_no_timeout)
+    retry_max: int = field(INT, 1, key="retry.max", omit=_no_timeout)
+    backoff_base: float = field(
+        FLOAT, 0.05, key="retry.base", omit=_no_timeout
+    )
+    backoff_jitter: float = field(
+        FLOAT, 0.0, key="retry.jitter", omit=_no_timeout
+    )
+    hedge: float | None = field(FLOAT, None, omit=True)
+    fallback: str | None = field(STR, None, omit=True)
 
     def __post_init__(self) -> None:
         if self.timeout is None and self.hedge is None:
@@ -91,43 +104,29 @@ class HopResilience:
             raise ValueError("fallback requires a timeout")
 
     def to_dict(self) -> dict:
+        """Regroup the flat ``retry.*`` keys into the ``retry`` object."""
         out: dict = {}
-        if self.timeout is not None:
-            out["timeout"] = self.timeout
-            out["on_timeout"] = self.on_timeout
-            out["retry"] = {
-                "max": self.retry_max,
-                "base": self.backoff_base,
-                "jitter": self.backoff_jitter,
-            }
-        if self.hedge is not None:
-            out["hedge"] = self.hedge
-        if self.fallback is not None:
-            out["fallback"] = self.fallback
+        for key, value in super().to_dict().items():
+            group, dot, sub = key.partition(".")
+            if dot:
+                out.setdefault(group, {})[sub] = value
+            else:
+                out[key] = value
         return out
 
     @classmethod
-    def from_dict(cls, data: dict) -> "HopResilience":
-        unknown = set(data) - {"timeout", "on_timeout", "retry", "hedge", "fallback"}
-        if unknown:
-            raise ValueError(f"unknown resilience keys: {sorted(unknown)}")
-        retry = dict(data.get("retry", {}))
-        bad = set(retry) - {"max", "base", "jitter"}
-        if bad:
-            raise ValueError(f"unknown retry keys: {sorted(bad)}")
-        return cls(
-            timeout=(
-                None if data.get("timeout") is None else float(data["timeout"])
-            ),
-            on_timeout=str(data.get("on_timeout", "retry")),
-            retry_max=int(retry.get("max", 1)),
-            backoff_base=float(retry.get("base", 0.05)),
-            backoff_jitter=float(retry.get("jitter", 0.0)),
-            hedge=None if data.get("hedge") is None else float(data["hedge"]),
-            fallback=(
-                None if data.get("fallback") is None else str(data["fallback"])
-            ),
+    def from_dict(cls, data: Any, path: str = "") -> "HopResilience":
+        """Flatten the ``retry`` object into the ``retry.*`` field keys."""
+        data = check_keys(
+            data, ("timeout", "on_timeout", "retry", "hedge", "fallback"),
+            "resilience", path,
         )
+        retry = check_keys(
+            data.pop("retry", {}), ("max", "base", "jitter"), "retry",
+            at(path, "retry"),
+        )
+        data.update((f"retry.{k}", v) for k, v in retry.items())
+        return super().from_dict(data, path)
 
 
 class ResilienceManager:

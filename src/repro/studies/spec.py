@@ -34,20 +34,21 @@ Two kinds:
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 from ..experiments.scenario import (
+    ANY_SCENARIO,
+    AXES,
     MultiScenario,
     Scenario,
     _apply_axis,
-    _check_keys,
-    scenario_from_dict,
 )
-from ..policies.spec import PolicySpec
 from ..simulation.failures import FAULT_KINDS, FailureEvent
 from ..simulation.rng import RngStreams
+from ..speccodec import FLOAT, INT, STR, Spec, field, nested, normalize, seq
 
 __all__ = [
     "CapacityStudy",
@@ -58,52 +59,32 @@ __all__ = [
 ]
 
 
-def _freeze_axes(raw) -> tuple:
-    """Normalize an axes mapping into ``((axis, (values, ...)), ...)``.
-
-    The same discipline as :class:`~repro.experiments.scenario.SweepSpec`:
-    non-empty value lists, scalars only — except the policy-valued axes,
-    whose values coerce to :class:`~repro.policies.spec.PolicySpec`.
-    """
-    items = raw.items() if isinstance(raw, dict) else raw
-    frozen: list[tuple[str, tuple]] = []
-    for axis, values in items:
-        axis = str(axis)
-        values = list(values)
-        if not values:
-            raise ValueError(f"study axis {axis!r} has no values")
-        if axis in ("policy", "admission"):
-            values = [PolicySpec.coerce(v) for v in values]
-        else:
-            bad = [v for v in values if isinstance(v, (dict, list, tuple))]
-            if bad:
-                raise ValueError(f"study axis {axis!r} values must be scalars")
-        frozen.append((axis, tuple(values)))
-    return tuple(frozen)
-
-
-def _thaw_axes(axes: tuple) -> dict:
-    return {
-        axis: [
-            v.to_compact() if isinstance(v, PolicySpec) else v
-            for v in values
-        ]
-        for axis, values in axes
-    }
-
-
-def _positive_floats(values, what: str) -> tuple[float, ...]:
-    out = tuple(float(v) for v in values)
-    if not out:
+def _check_positive(values: tuple, what: str) -> None:
+    if not values:
         raise ValueError(f"a study needs at least one {what}")
-    bad = [v for v in out if v <= 0]
+    bad = [v for v in values if v <= 0]
     if bad:
         raise ValueError(f"{what} values must be > 0, got {bad}")
-    return out
 
 
-@dataclass(frozen=True)
-class InterferenceStudy:
+class _Study(Spec):
+    """The ``study`` kind tag, written first and dispatched on when read
+    (:func:`study_from_dict`)."""
+
+    kind = ""
+
+    def to_dict(self) -> dict:
+        return {"study": self.kind, **super().to_dict()}
+
+    @classmethod
+    def from_dict(cls, data: Any, path: str = "") -> Any:
+        if isinstance(data, Mapping):
+            data = {k: v for k, v in data.items() if k != "study"}
+        return super().from_dict(data, path)
+
+
+@dataclass(frozen=True, kw_only=True)
+class InterferenceStudy(_Study):
     """Victim goodput vs aggressor load on one shared cluster.
 
     The grid is ``axes`` (declaration order, extra configuration knobs)
@@ -116,27 +97,21 @@ class InterferenceStudy:
 
     kind = "interference"
 
-    base: MultiScenario
-    victim: str
-    aggressor: str
-    loads: tuple[float, ...] = ()
-    axes: tuple = ()
-    name: str = ""
+    name: str = field(STR, "")
+    victim: str = field(STR)
+    aggressor: str = field(STR)
+    loads: tuple[float, ...] = field(seq(FLOAT), ())
+    axes: tuple = field(AXES, ())
+    base: MultiScenario = field(nested(MultiScenario))
 
     def __post_init__(self) -> None:
-        if isinstance(self.base, dict):
-            object.__setattr__(
-                self, "base", MultiScenario.from_dict(self.base)
-            )
-        if not isinstance(self.base, MultiScenario):
+        if not isinstance(self.base, (dict, MultiScenario)):
             raise ValueError(
                 "an interference study needs a multi-tenant base scenario "
                 "(a 'tenants' spec)"
             )
-        object.__setattr__(
-            self, "loads", _positive_floats(self.loads, "aggressor load")
-        )
-        object.__setattr__(self, "axes", _freeze_axes(self.axes))
+        normalize(self)
+        _check_positive(self.loads, "aggressor load")
         labels = self.base.tenant_names()
         for role, label in (("victim", self.victim),
                             ("aggressor", self.aggressor)):
@@ -172,41 +147,9 @@ class InterferenceStudy:
             spec.validate()
         return self
 
-    def to_dict(self) -> dict:
-        return {
-            "study": self.kind,
-            "name": self.name,
-            "victim": self.victim,
-            "aggressor": self.aggressor,
-            "loads": list(self.loads),
-            "axes": _thaw_axes(self.axes),
-            "base": self.base.to_dict(),
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "InterferenceStudy":
-        _check_keys(
-            data,
-            {"study", "name", "victim", "aggressor", "loads", "axes", "base"},
-            "interference study",
-        )
-        for key in ("victim", "aggressor", "base"):
-            if key not in data:
-                raise ValueError(
-                    f"interference study missing required key {key!r}"
-                )
-        return cls(
-            base=MultiScenario.from_dict(data["base"]),
-            victim=str(data["victim"]),
-            aggressor=str(data["aggressor"]),
-            loads=tuple(data.get("loads", ())),
-            axes=tuple(dict(data.get("axes", {})).items()),
-            name=str(data.get("name", "")),
-        )
-
-
-@dataclass(frozen=True)
-class CapacityStudy:
+@dataclass(frozen=True, kw_only=True)
+class CapacityStudy(_Study):
     """How many workers hold the goodput target at each offered rate?
 
     For every rate in ``rates`` the planner sets each tenant's (or the
@@ -220,25 +163,20 @@ class CapacityStudy:
 
     kind = "capacity"
 
-    base: "Scenario | MultiScenario"
-    rates: tuple[float, ...] = ()
-    target: float = 0.95
-    min_workers: int = 1
-    max_workers: int = 16
-    name: str = ""
+    name: str = field(STR, "")
+    rates: tuple[float, ...] = field(seq(FLOAT), ())
+    target: float = field(FLOAT, 0.95)
+    min_workers: int = field(INT, 1)
+    max_workers: int = field(INT, 16)
+    base: "Scenario | MultiScenario" = field(ANY_SCENARIO)
 
     def __post_init__(self) -> None:
-        if isinstance(self.base, dict):
-            object.__setattr__(
-                self, "base", scenario_from_dict(self.base)
-            )
+        normalize(self)
         if not isinstance(self.base, (Scenario, MultiScenario)):
             raise ValueError(
                 "a capacity study needs a scenario or multi-scenario base"
             )
-        object.__setattr__(
-            self, "rates", _positive_floats(self.rates, "offered rate")
-        )
+        _check_positive(self.rates, "offered rate")
         if not 0 < self.target <= 1:
             raise ValueError(f"target must be in (0, 1], got {self.target}")
         if self.min_workers < 1:
@@ -276,39 +214,9 @@ class CapacityStudy:
             self.spec_at(rate, self.min_workers).validate()
         return self
 
-    def to_dict(self) -> dict:
-        return {
-            "study": self.kind,
-            "name": self.name,
-            "rates": list(self.rates),
-            "target": self.target,
-            "min_workers": self.min_workers,
-            "max_workers": self.max_workers,
-            "base": self.base.to_dict(),
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "CapacityStudy":
-        _check_keys(
-            data,
-            {"study", "name", "rates", "target", "min_workers",
-             "max_workers", "base"},
-            "capacity study",
-        )
-        if "base" not in data:
-            raise ValueError("capacity study missing required key 'base'")
-        return cls(
-            base=scenario_from_dict(data["base"]),
-            rates=tuple(data.get("rates", ())),
-            target=float(data.get("target", 0.95)),
-            min_workers=int(data.get("min_workers", 1)),
-            max_workers=int(data.get("max_workers", 16)),
-            name=str(data.get("name", "")),
-        )
-
-
-@dataclass(frozen=True)
-class ChaosStudy:
+@dataclass(frozen=True, kw_only=True)
+class ChaosStudy(_Study):
     """Availability under seeded random fault schedules x resilience axes.
 
     Each cell replaces the base scenario's ``failures`` with a schedule
@@ -332,47 +240,41 @@ class ChaosStudy:
 
     kind = "chaos"
 
-    base: Scenario
-    seeds: tuple[int, ...] = (0,)
-    faults: int = 2
-    kinds: tuple[str, ...] = FAULT_KINDS
-    start: tuple[float, float] = (0.2, 0.6)
-    downtime: tuple[float, float] = (1.0, 5.0)
-    factor: tuple[float, float] = (1.5, 3.0)
-    window: float = 1.0
-    target: float = 0.9
-    axes: tuple = ()
-    name: str = ""
+    name: str = field(STR, "")
+    seeds: tuple[int, ...] = field(seq(INT), (0,))
+    faults: int = field(INT, 2)
+    kinds: tuple[str, ...] = field(seq(STR), FAULT_KINDS)
+    start: tuple[float, float] = field(seq(FLOAT), (0.2, 0.6))
+    downtime: tuple[float, float] = field(seq(FLOAT), (1.0, 5.0))
+    factor: tuple[float, float] = field(seq(FLOAT), (1.5, 3.0))
+    window: float = field(FLOAT, 1.0)
+    target: float = field(FLOAT, 0.9)
+    axes: tuple = field(AXES, ())
+    base: Scenario = field(nested(Scenario))
 
     def __post_init__(self) -> None:
-        if isinstance(self.base, dict):
-            object.__setattr__(self, "base", Scenario.from_dict(self.base))
-        if not isinstance(self.base, Scenario):
+        if not isinstance(self.base, (dict, Scenario)):
             raise ValueError(
                 "a chaos study needs a single-cluster scenario base "
                 "(link faults have no shared-cluster form)"
             )
-        seeds = tuple(int(s) for s in self.seeds)
-        if not seeds:
+        normalize(self)
+        if not self.seeds:
             raise ValueError("a chaos study needs at least one fault seed")
-        object.__setattr__(self, "seeds", seeds)
         if self.faults < 1:
             raise ValueError("faults must be >= 1")
-        kinds = tuple(str(k) for k in self.kinds)
-        bad = sorted(set(kinds) - set(FAULT_KINDS))
-        if not kinds or bad:
+        bad = sorted(set(self.kinds) - set(FAULT_KINDS))
+        if not self.kinds or bad:
             raise ValueError(
                 f"kinds must be a non-empty subset of {FAULT_KINDS}, "
                 f"got {list(self.kinds)}"
             )
-        object.__setattr__(self, "kinds", kinds)
         for attr in ("start", "downtime", "factor"):
-            pair = tuple(float(v) for v in getattr(self, attr))
+            pair = getattr(self, attr)
             if len(pair) != 2 or pair[0] > pair[1]:
                 raise ValueError(
                     f"{attr} must be a (lo, hi) pair with lo <= hi"
                 )
-            object.__setattr__(self, attr, pair)
         if not (0.0 <= self.start[0] and self.start[1] < 1.0):
             raise ValueError(
                 "start must lie in [0, 1): fractions of the trace duration"
@@ -385,7 +287,6 @@ class ChaosStudy:
             raise ValueError("window must be > 0")
         if not 0 < self.target <= 1:
             raise ValueError(f"target must be in (0, 1], got {self.target}")
-        object.__setattr__(self, "axes", _freeze_axes(self.axes))
 
     def schedule(self, seed: int) -> tuple[FailureEvent, ...]:
         """The fault schedule for one seed — pure and platform-stable."""
@@ -452,46 +353,6 @@ class ChaosStudy:
         for _, spec in self.expand():
             spec.validate()
         return self
-
-    def to_dict(self) -> dict:
-        return {
-            "study": self.kind,
-            "name": self.name,
-            "seeds": list(self.seeds),
-            "faults": self.faults,
-            "kinds": list(self.kinds),
-            "start": list(self.start),
-            "downtime": list(self.downtime),
-            "factor": list(self.factor),
-            "window": self.window,
-            "target": self.target,
-            "axes": _thaw_axes(self.axes),
-            "base": self.base.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ChaosStudy":
-        _check_keys(
-            data,
-            {"study", "name", "seeds", "faults", "kinds", "start",
-             "downtime", "factor", "window", "target", "axes", "base"},
-            "chaos study",
-        )
-        if "base" not in data:
-            raise ValueError("chaos study missing required key 'base'")
-        return cls(
-            base=Scenario.from_dict(data["base"]),
-            seeds=tuple(data.get("seeds", (0,))),
-            faults=int(data.get("faults", 2)),
-            kinds=tuple(data.get("kinds", FAULT_KINDS)),
-            start=tuple(data.get("start", (0.2, 0.6))),
-            downtime=tuple(data.get("downtime", (1.0, 5.0))),
-            factor=tuple(data.get("factor", (1.5, 3.0))),
-            window=float(data.get("window", 1.0)),
-            target=float(data.get("target", 0.9)),
-            axes=tuple(dict(data.get("axes", {})).items()),
-            name=str(data.get("name", "")),
-        )
 
 
 _STUDY_KINDS = {

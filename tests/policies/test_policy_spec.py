@@ -81,7 +81,7 @@ class TestSerialisation:
         assert PolicySpec.from_dict(spec.to_dict()) == spec
 
     def test_compact_form_is_legacy_string(self):
-        assert PolicySpec("Naive").to_compact() == "Naive"
+        assert PolicySpec("Naive").to_dict() == "Naive"
         assert PolicySpec.from_dict("Naive") == PolicySpec("Naive")
 
     def test_compact_and_bare_share_fingerprint(self):

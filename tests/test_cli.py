@@ -177,6 +177,18 @@ class TestScenarioCommands:
                 main(["scenario", "run", "--file",
                       self.scenario_file(tmp_path, bad)])
 
+    def test_scenario_bad_value_names_its_path(self, tmp_path):
+        bad = dict(SCENARIO, trace={"name": "tweet",
+                                    "bursts": [{"start": 1, "length": "x",
+                                                "factor": 2}]})
+        path = self.scenario_file(tmp_path, bad)
+        with pytest.raises(SystemExit) as info:
+            main(["scenario", "run", "--file", path])
+        assert str(info.value) == (
+            f"invalid scenario file {path}: trace.bursts[0].length: "
+            "expected a number, got 'x'"
+        )
+
     def test_max_cache_mb_prunes_even_with_no_cache(self, tmp_path, capsys):
         cache = tmp_path / "cache"
         run_args = [
