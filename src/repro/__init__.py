@@ -12,8 +12,8 @@ Public API quick tour::
     result = run_experiment(config, PardPolicy())
     print(result.summary)
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-versus-measured record of every figure and table.
+See README.md for installation, the CLI and the scenario and study
+formats, and ROADMAP.md for the measured state and the open work.
 """
 
 from .core import (

@@ -12,26 +12,21 @@ the simulator:
 * **sweep-grid** — a fig-10-style apps x policies grid (all four paper
   applications under PARD and Naive), executed serially in-process so the
   number measures the engine rather than process-pool overhead.  Cells
-  only consume summaries, so they run lean when the installed package
-  supports it.
+  only consume summaries, so they run lean.
 * **llm-serving** — a shared cluster hosting an LLM chat tenant next to
   the agentic RAG pipeline: iteration-level continuous batching, KV-cache
-  reservations and token-SLO goodput accounting on the hot path.  Skipped
-  automatically on checkouts that predate the LLM applications.
+  reservations and token-SLO goodput accounting on the hot path.
 * **million-request** — one heavily overloaded chain replaying a
   *streaming* constant trace (one million arrivals at full fidelity):
   measures the lazy arrival pipeline end to end, where the old eager
-  replay would pre-schedule a million heap events before t=0.  Skipped
-  on checkouts that predate streaming traces.
+  replay would pre-schedule a million heap events before t=0.
 
 Workloads are declared as plain scenario dicts — the same schema scenario
-files use — so the harness is self-contained and runs unmodified against
-older checkouts when measuring a baseline.
+files use — so the harness is self-contained.
 """
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 from typing import Callable
 
@@ -184,44 +179,12 @@ def _million_request(duration: float) -> dict:
     }
 
 
-#: ``run_scenario`` grew a ``lean`` keyword in this PR; detect it so the
-#: identical harness also runs against pre-lean checkouts when measuring
-#: a baseline (falling back to full collection — their real cost).
-_SUPPORTS_LEAN = "lean" in inspect.signature(run_scenario).parameters
-
-
-def _supports_streaming() -> bool:
-    """True when the installed package knows streaming trace specs.
-
-    Baseline checkouts without the lazy arrival pipeline reject the
-    ``stream`` key at parse time; the million-request workload is simply
-    absent there.
-    """
-    from dataclasses import fields as dc_fields
-
-    from ..experiments.scenario import TraceSpec
-
-    return "stream" in {f.name for f in dc_fields(TraceSpec)}
-
-
-def _supports_llm() -> bool:
-    """True when the installed package registers the LLM applications.
-
-    Keeps the harness runnable unmodified against pre-LLM checkouts when
-    measuring a baseline — the llm-serving workload is simply absent
-    there, and macro comparisons should be read workload-by-workload.
-    """
-    from ..pipeline.applications import APPLICATIONS
-
-    return "llm-chat" in APPLICATIONS and "rag-agentic" in APPLICATIONS
-
-
 @dataclass(frozen=True)
 class BenchWorkload:
     """One timed macro-benchmark component."""
 
     name: str
-    kind: str  # "single" | "multi" | "sweep"
+    kind: str  # "single" | "multi" | "sweep" | "llm" | "million"
     run: Callable[[], tuple[int, int]]  # () -> (simulator events, requests)
     cells: int = 1
 
@@ -250,10 +213,7 @@ def _run_sweep(spec: dict) -> tuple[int, int]:
     events = requests = 0
     for scenario in sweep.expand():
         scenario.validate()
-        if _SUPPORTS_LEAN:
-            result = run_scenario(scenario, lean=True)
-        else:  # pragma: no cover - baseline measurement path
-            result = run_scenario(scenario)
+        result = run_scenario(scenario, lean=True)
         events += result.cluster.sim.processed_events
         requests += result.summary.total
     return events, requests
@@ -268,18 +228,14 @@ def bench_workloads(quick: bool = False) -> list[BenchWorkload]:
     n_cells = 1
     for values in sweep["axes"].values():
         n_cells *= len(values)
-    out = [
+    llm = _llm_serving(durations["llm"])
+    million = _million_request(durations["million"])
+    return [
         BenchWorkload("single-dag", "single", lambda: _run_single(single)),
         BenchWorkload("multi-tenant", "multi", lambda: _run_multi(multi)),
         BenchWorkload("sweep-grid", "sweep", lambda: _run_sweep(sweep),
                       cells=n_cells),
+        BenchWorkload("llm-serving", "llm", lambda: _run_multi(llm)),
+        BenchWorkload("million-request", "million",
+                      lambda: _run_million(million)),
     ]
-    if _supports_llm():
-        llm = _llm_serving(durations["llm"])
-        out.append(BenchWorkload("llm-serving", "llm",
-                                 lambda: _run_multi(llm)))
-    if _supports_streaming():
-        million = _million_request(durations["million"])
-        out.append(BenchWorkload("million-request", "million",
-                                 lambda: _run_million(million)))
-    return out

@@ -35,19 +35,17 @@ from .scenario import (
     scenario_axes,
     scenario_grid,
 )
-from .sweep import (
-    CellResult,
-    SweepCell,
-    SweepEvent,
-    cell_fingerprint,
-    execute_cell,
-    prune_cache,
-    run_sweep,
-    scenario_cells,
-    summaries_payload,
-    summary_table,
-    sweep_grid,
-)
+
+# The sweep layer (process pool, disk cache) serves grids only, so a single
+# run does not import it.  Every other name in ``__all__`` is bound above,
+# so only the sweep names reach this hook, on first access (PEP 562).
+def __getattr__(name: str):
+    if name in __all__:
+        from . import sweep
+
+        return getattr(sweep, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "APPS",

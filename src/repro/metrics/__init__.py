@@ -19,15 +19,17 @@ from .analysis import (
 )
 from .collector import MetricsCollector, RequestRecord, VisitRecord
 from .goodput import GoodputReport, GoodputSpec, goodput_report
-from .report import (
-    comparison_table,
-    format_table,
-    goodput_table,
-    pct,
-    per_app_drop_table,
-    per_app_table,
-    per_module_drop_table,
-)
+
+# The table renderers serve reports only, so a single run does not import
+# them.  Every other name in ``__all__`` is bound above, so only the
+# renderer names reach this hook, on first access (PEP 562).
+def __getattr__(name: str):
+    if name in __all__:
+        from . import report
+
+        return getattr(report, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "GoodputReport",

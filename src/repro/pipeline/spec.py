@@ -38,12 +38,11 @@ so a later join is never over- or under-counted.
 
 from __future__ import annotations
 
+import heapq
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
-
-import networkx as nx
 
 from ..speccodec import STR, Spec, field, seq
 
@@ -91,12 +90,13 @@ class PipelineSpec:
         self._by_id = {m.id: m for m in self.modules}
         if len(self._by_id) != len(self.modules):
             raise ValueError(f"duplicate module ids in pipeline {self.name!r}")
-        self._graph = nx.DiGraph()
-        self._graph.add_nodes_from(self._by_id)
+        # A list, not a set: the mirror check below then reports the first
+        # inconsistent edge in declaration order, the same in every process.
+        edges: list[tuple[str, str]] = []
         for m in self.modules:
-            # Duplicate edge declarations would be silently deduplicated by
-            # the graph but double-delivered by the request flow — a join
-            # double-fire waiting to happen.  Reject them up front.
+            # Duplicate edge declarations would be double-delivered by the
+            # request flow — a join double-fire waiting to happen.  Reject
+            # them up front.
             if len(set(m.pres)) != len(m.pres):
                 raise ValueError(
                     f"module {m.id!r} declares duplicate predecessor edges: "
@@ -110,12 +110,12 @@ class PipelineSpec:
             for p in m.pres:
                 if p not in self._by_id:
                     raise ValueError(f"module {m.id!r} references unknown pre {p!r}")
-                self._graph.add_edge(p, m.id)
+                edges.append((p, m.id))
             for s in m.subs:
                 if s not in self._by_id:
                     raise ValueError(f"module {m.id!r} references unknown sub {s!r}")
-                self._graph.add_edge(m.id, s)
-        for a, b in self._graph.edges:
+                edges.append((m.id, s))
+        for a, b in edges:
             if b not in self._by_id[a].subs or a not in self._by_id[b].pres:
                 raise ValueError(
                     f"inconsistent edge {a!r}->{b!r}: pres/subs must mirror each other"
@@ -146,28 +146,60 @@ class PipelineSpec:
                     f"pipeline {self.name!r} has modules unreachable from "
                     f"any entry: {unreachable}"
                 )
-        if not nx.is_directed_acyclic_graph(self._graph):
+        topo = self._lexicographic_topo()
+        if len(topo) < len(self.modules):
             raise ValueError(f"pipeline {self.name!r} contains a cycle")
-        if self.modules and not nx.is_weakly_connected(self._graph):
+        if self.modules and not self._weakly_connected():
             raise ValueError(f"pipeline {self.name!r} is not connected")
         self._paths_cache: dict[str, list[list[str]]] = {}
-        self._freeze_structure()
+        self._freeze_structure(topo)
 
-    def _freeze_structure(self) -> None:
+    def _lexicographic_topo(self) -> tuple[str, ...]:
+        """Kahn's algorithm, always placing the smallest ready module id.
+
+        The order is unique for a given DAG, independent of declaration
+        order.  Modules on a cycle never become ready, so a cyclic
+        pipeline yields an order shorter than its module list.
+        """
+        waiting = {m.id: len(m.pres) for m in self.modules}
+        ready = [mid for mid, n in waiting.items() if n == 0]
+        heapq.heapify(ready)
+        order: list[str] = []
+        while ready:
+            mid = heapq.heappop(ready)
+            order.append(mid)
+            for s in self._by_id[mid].subs:
+                waiting[s] -= 1
+                if waiting[s] == 0:
+                    heapq.heappush(ready, s)
+        return tuple(order)
+
+    def _weakly_connected(self) -> bool:
+        """Whether every module is reachable ignoring edge direction."""
+        first = self.modules[0].id
+        seen = {first}
+        frontier = [first]
+        while frontier:
+            m = self._by_id[frontier.pop()]
+            for n in (*m.pres, *m.subs):
+                if n not in seen:
+                    seen.add(n)
+                    frontier.append(n)
+        return len(seen) == len(self.modules)
+
+    def _freeze_structure(self, topo: tuple[str, ...]) -> None:
         """Precompute the DAG views consumed on the per-request hot path.
 
-        The spec is immutable after validation, so topological order,
-        declaration indices, per-module descendant sets and the token-flow
-        tables (per-(fork, branch) :class:`KillPlan`, per-module death
-        plans, in-degrees) are all computed exactly once here instead of
-        re-deriving them (via ``nx.descendants`` + a full sort) on every
-        fork passage or budget lookup.
+        The spec is immutable after validation, so the topological order
+        ``topo``, declaration indices, per-module descendant sets and the
+        token-flow tables (per-(fork, branch) :class:`KillPlan`, per-module
+        death plans, in-degrees) are all computed exactly once here instead
+        of re-deriving them by a graph walk and a full sort on every fork
+        passage or budget lookup.
         """
         self._ids: tuple[str, ...] = tuple(m.id for m in self.modules)
         self._index: dict[str, int] = {mid: i for i, mid in enumerate(self._ids)}
-        self._topo: tuple[str, ...] = tuple(
-            nx.lexicographical_topological_sort(self._graph)
-        )
+        self._topo: tuple[str, ...] = topo
         topo_index = {mid: i for i, mid in enumerate(self._topo)}
         self._chain: bool = all(
             len(m.pres) <= 1 and len(m.subs) <= 1 for m in self.modules

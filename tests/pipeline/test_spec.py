@@ -3,8 +3,41 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.pipeline.spec import ModuleSpec, PipelineSpec, chain
+
+
+def reference_order(ids, edges) -> list[str]:
+    """Repeatedly place the smallest id whose predecessors are all placed.
+
+    On a cyclic graph the modules on (or after) a cycle are never placed,
+    so the order comes out short.
+    """
+    placed: list[str] = []
+    while True:
+        ready = [
+            m for m in ids
+            if m not in placed
+            and all(a in placed for a, b in edges if b == m)
+        ]
+        if not ready:
+            return placed
+        placed.append(min(ready))
+
+
+def reference_descendants(edges, start) -> set[str]:
+    """Every module reachable from ``start`` along directed edges."""
+    seen: set[str] = set()
+    frontier = [start]
+    while frontier:
+        node = frontier.pop()
+        for a, b in edges:
+            if a == node and b not in seen:
+                seen.add(b)
+                frontier.append(b)
+    return seen
 
 
 class TestChainBuilder:
@@ -160,7 +193,7 @@ class TestDagPaths:
 
 
 class TestFrozenStructure:
-    """The precomputed DAG views must agree with a networkx recomputation."""
+    """The precomputed DAG views must agree with a brute-force recomputation."""
 
     def wide(self) -> PipelineSpec:
         # Two sequential forks feeding one join plus a diamond: exercises
@@ -178,18 +211,13 @@ class TestFrozenStructure:
             ],
         )
 
-    def test_downstream_matches_networkx(self):
-        import networkx as nx
-
+    def test_downstream_matches_reference(self):
         spec = self.wide()
-        graph = nx.DiGraph()
-        graph.add_nodes_from(spec.module_ids)
+        edges = {(mid, s) for mid in spec.module_ids for s in spec.successors(mid)}
+        topo = reference_order(spec.module_ids, edges)
+        assert spec.topological_order() == topo
         for mid in spec.module_ids:
-            for s in spec.successors(mid):
-                graph.add_edge(mid, s)
-        topo = list(nx.lexicographical_topological_sort(graph))
-        for mid in spec.module_ids:
-            reach = nx.descendants(graph, mid)
+            reach = reference_descendants(edges, mid)
             assert spec.downstream(mid) == [m for m in topo if m in reach]
             assert spec.downstream_set(mid) == frozenset(reach)
 
@@ -288,3 +316,66 @@ class TestJsonRoundTrip:
         assert "mX" not in spec
         assert spec["m1"].model == "a"
         assert len(spec) == 1
+
+
+# Ids whose string order differs from any natural numbering ("m10" < "m2").
+_IDS = ("m2", "m10", "b", "a1", "z", "m1", "aa")
+
+
+@st.composite
+def _graphs(draw):
+    """(declared ids, edge set) of a small random graph.
+
+    A spine gives every module but the first a predecessor and the first
+    none, so all modules are reachable from one entry.  Edges point forward
+    in declaration order (acyclic) unless back edges are drawn.
+    """
+    ids = draw(st.permutations(_IDS))[: draw(st.integers(1, len(_IDS)))]
+    n = len(ids)
+    pairs = set(draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12,
+    )))
+    if draw(st.booleans()):
+        pairs = {(i, j) for i, j in pairs if j != 0}
+        pairs |= {(draw(st.integers(0, j - 1)), j) for j in range(1, n)}
+    if not draw(st.booleans()):
+        pairs = {(i, j) for i, j in pairs if i < j}
+    return ids, {(ids[i], ids[j]) for i, j in pairs}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graphs())
+def test_structure_matches_reference(graph):
+    ids, edges = graph
+    modules = [
+        ModuleSpec(
+            mid, "model",
+            pres=tuple(sorted(a for a, b in edges if b == mid)),
+            subs=tuple(sorted(b for a, b in edges if a == mid)),
+        )
+        for mid in ids
+    ]
+    entries = [m for m in ids if not any(b == m for _, b in edges)]
+    from_entries = set(entries).union(
+        *(reference_descendants(edges, e) for e in entries)
+    )
+    undirected = edges | {(b, a) for a, b in edges}
+    connected = {ids[0]} | reference_descendants(undirected, ids[0]) == set(ids)
+    order = reference_order(ids, edges)
+
+    if not entries or from_entries != set(ids):
+        with pytest.raises(ValueError, match="no entry module|unreachable"):
+            PipelineSpec(name="g", modules=modules)
+    elif len(order) < len(ids):
+        with pytest.raises(ValueError, match="contains a cycle"):
+            PipelineSpec(name="g", modules=modules)
+    elif not connected:
+        with pytest.raises(ValueError, match="is not connected"):
+            PipelineSpec(name="g", modules=modules)
+    else:
+        spec = PipelineSpec(name="g", modules=modules)
+        assert spec.topological_order() == order
+        for mid in ids:
+            reach = reference_descendants(edges, mid)
+            assert spec.downstream(mid) == [m for m in order if m in reach]
+            assert spec.downstream_set(mid) == frozenset(reach)
