@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.experiments.runner import ExperimentConfig, build_cluster, run_experiment
+from repro.experiments.runner import build_cluster, resolve_base_rate, run_scenario
+from repro.experiments.scenario import AppSpec, Scenario, TraceSpec
 from repro.metrics import summarize
-from repro.pipeline.applications import Application
-from repro.pipeline.spec import ModuleSpec, PipelineSpec
+from repro.pipeline.spec import ModuleSpec
 from repro.policies.naive import NaivePolicy
 from repro.simulation.request import RequestStatus
 from repro.simulation.routing import ProbabilisticRouter
@@ -27,28 +27,28 @@ from .conftest import BENCH_SEED
 SYSTEMS = ("PARD", "Clipper++", "Nexus", "Naive")
 
 
-def diamond_app(slo: float = 0.5) -> Application:
-    spec = PipelineSpec(
-        name="diamond-of-diamonds",
-        modules=[
-            ModuleSpec("m1", "object_detection", subs=("a", "b")),
-            ModuleSpec("a", "face_recognition", pres=("m1",), subs=("j1",)),
-            ModuleSpec("b", "text_recognition", pres=("m1",), subs=("j1",)),
-            ModuleSpec("j1", "person_detection", pres=("a", "b"),
-                       subs=("c", "d")),
-            ModuleSpec("c", "expression_recognition", pres=("j1",),
-                       subs=("j2",)),
-            ModuleSpec("d", "pose_recognition", pres=("j1",), subs=("j2",)),
-            ModuleSpec("j2", "eye_tracking", pres=("c", "d")),
-        ],
-    )
-    return Application(spec=spec, slo=slo)
+DIAMOND = AppSpec(
+    pipeline="diamond-of-diamonds",
+    modules=(
+        ModuleSpec("m1", "object_detection", subs=("a", "b")),
+        ModuleSpec("a", "face_recognition", pres=("m1",), subs=("j1",)),
+        ModuleSpec("b", "text_recognition", pres=("m1",), subs=("j1",)),
+        ModuleSpec("j1", "person_detection", pres=("a", "b"),
+                   subs=("c", "d")),
+        ModuleSpec("c", "expression_recognition", pres=("j1",),
+                   subs=("j2",)),
+        ModuleSpec("d", "pose_recognition", pres=("j1",), subs=("j2",)),
+        ModuleSpec("j2", "eye_tracking", pres=("c", "d")),
+    ),
+    slo=0.5,
+)
 
 
-def _config(seed: int = BENCH_SEED) -> ExperimentConfig:
-    return ExperimentConfig(
-        app="diamond", custom_app=diamond_app(), trace="tweet",
-        base_rate=40.0, duration=30.0, seed=seed, workers=1,
+def _scenario(policy: str = "PARD") -> Scenario:
+    return Scenario(
+        app=DIAMOND,
+        trace=TraceSpec(name="tweet", base_rate=40.0, duration=30.0),
+        seed=BENCH_SEED, workers=1, policy=policy,
     )
 
 
@@ -68,7 +68,7 @@ def _check_token_invariants(collector) -> None:
 def test_diamond_merge_systems(benchmark):
     def sweep():
         return {
-            system: run_experiment(_config(), system)
+            system: run_scenario(_scenario(system))
             for system in SYSTEMS
         }
 
@@ -96,9 +96,9 @@ def test_diamond_merge_systems(benchmark):
 
 def test_diamond_merge_dynamic_paths():
     """Per-request single-branch routing at both forks stays accounted."""
-    config = _config()
-    trace = config.resolve_trace()
-    cluster = build_cluster(config, NaivePolicy(), trace)
+    scenario = _scenario()
+    trace = scenario.build_trace(resolve_base_rate(scenario))
+    cluster = build_cluster(scenario, NaivePolicy(), trace)
     cluster.router = ProbabilisticRouter(seed=BENCH_SEED)
     replay(trace, cluster)
     summary = summarize(cluster.metrics, duration=trace.duration)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from repro.core.policy import PardPolicy
 from repro.core.state_planner import PathMode
 from repro.experiments import standard_config
-from repro.experiments.runner import build_cluster
+from repro.experiments.runner import build_cluster, resolve_base_rate
 from repro.metrics import summarize
 from repro.simulation.routing import ProbabilisticRouter
 from repro.workload.replay import replay
@@ -24,11 +24,11 @@ from .conftest import BENCH_SEED
 
 
 def _run(dynamic: bool, path_mode: str, seed: int = BENCH_SEED):
-    config = standard_config("da", "tweet", seed=seed, duration=60.0,
-                             scaling=False)
-    trace = config.resolve_trace()
+    scenario = standard_config("da", "tweet", seed=seed, duration=60.0,
+                               scaling=False)
+    trace = scenario.build_trace(resolve_base_rate(scenario))
     policy = PardPolicy(samples=2000, path_mode=path_mode, seed=seed)
-    cluster = build_cluster(config, policy, trace)
+    cluster = build_cluster(scenario, policy, trace)
     if dynamic:
         cluster.router = ProbabilisticRouter(seed=seed)
     replay(trace, cluster)

@@ -10,30 +10,20 @@ Run:  python examples/quickstart.py
 
 from __future__ import annotations
 
-from repro import (
-    ClipperPlusPlusPolicy,
-    NaivePolicy,
-    NexusPolicy,
-    PardPolicy,
-    run_experiment,
-    standard_config,
-)
+from dataclasses import replace
+
+from repro import run_scenario, standard_config
+from repro.experiments.runner import resolve_base_rate
 
 
 def main() -> None:
-    config = standard_config(
+    scenario = standard_config(
         app="lv", trace="tweet", duration=60.0, seed=7, utilization=0.9
     )
-    print(f"workload: lv x tweet, base rate ~{config.resolve_base_rate():.0f} req/s")
+    print(f"workload: lv x tweet, base rate ~{resolve_base_rate(scenario):.0f} req/s")
     print(f"{'policy':12s} {'goodput':>9s} {'drop rate':>10s} {'invalid rate':>13s}")
-    policies = [
-        PardPolicy(seed=7),
-        NexusPolicy(),
-        ClipperPlusPlusPolicy(),
-        NaivePolicy(),
-    ]
-    for policy in policies:
-        result = run_experiment(config, policy)
+    for policy in ("PARD", "Nexus", "Clipper++", "Naive"):
+        result = run_scenario(replace(scenario, policy=policy))
         s = result.summary
         print(
             f"{result.policy_name:12s} {s.goodput:7.1f}/s "

@@ -2,15 +2,17 @@
 
 Public API quick tour::
 
-    from repro import (
-        PardPolicy, NexusPolicy, ClipperPlusPlusPolicy, NaivePolicy,
-        get_application, get_trace,
-        ExperimentConfig, run_experiment, summarize,
-    )
+    from repro import Scenario, run_scenario, standard_config
 
-    config = ExperimentConfig(app="lv", trace="tweet", base_rate=60, duration=120)
-    result = run_experiment(config, PardPolicy())
+    scenario = standard_config("lv", "tweet", duration=60, policy="PARD")
+    result = run_scenario(scenario)
     print(result.summary)
+
+    # The same run as plain data (JSON-ready, fingerprintable):
+    scenario = Scenario.from_dict({
+        "app": {"name": "lv"}, "trace": {"name": "tweet", "duration": 60},
+        "policy": "PARD", "utilization": 0.9, "scaling": {"enabled": True},
+    })
 
 See README.md for installation, the CLI and the scenario and study
 formats, and ROADMAP.md for the measured state and the open work.
@@ -28,13 +30,10 @@ from .core import (
 )
 from .experiments import (
     AppSpec,
-    ExperimentConfig,
     ExperimentResult,
     Scenario,
     ScalingSpec,
     TraceSpec,
-    compare_policies,
-    run_experiment,
     run_scenario,
     standard_config,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "ClipperPlusPlusPolicy",
     "Cluster",
     "DropPolicy",
-    "ExperimentConfig",
     "ExperimentResult",
     "MetricsCollector",
     "MinMaxHeap",
@@ -87,12 +85,10 @@ __all__ = [
     "Trace",
     "TraceSpec",
     "WaitMode",
-    "compare_policies",
     "get_application",
     "get_trace",
     "make_ablation",
     "make_policy",
-    "run_experiment",
     "run_scenario",
     "standard_config",
     "summarize",

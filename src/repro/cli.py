@@ -20,10 +20,13 @@ import sys
 from .experiments.configs import (
     SYSTEM_FACTORIES,
     known_policies,
-    make_policy,
     standard_config,
 )
-from .experiments.runner import run_experiment, run_multi_scenario, run_scenario
+from .experiments.runner import (
+    resolve_base_rate,
+    run_multi_scenario,
+    run_scenario,
+)
 from .experiments.scenario import (
     MultiScenario,
     Scenario,
@@ -56,16 +59,8 @@ from .metrics.report import (
 from .pipeline.applications import get_application, known_applications
 from .pipeline.llm_profiles import is_llm_application
 from .policies.ablations import ABLATIONS
-from .policies.base import DropPolicy
 from .policies.registry import ADMISSIONS, POLICIES, known_admissions
 from .workload.generators import known_traces
-
-
-def _make_policy(name: str, seed: int) -> DropPolicy:
-    try:
-        return make_policy(name, seed)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
 
 
 def _add_workload_args(p: argparse.ArgumentParser) -> None:
@@ -84,24 +79,22 @@ def _add_workload_args(p: argparse.ArgumentParser) -> None:
                    help="disable the reactive worker scaler")
 
 
-def _config(args: argparse.Namespace):
-    overrides = dict(
-        duration=args.duration,
-        seed=args.seed,
-        utilization=args.utilization,
-        scaling=not args.no_scaling,
-    )
-    if args.slo is not None:
-        overrides["slo"] = args.slo
-    return standard_config(args.app, args.trace, **overrides)
+def _scenario(args: argparse.Namespace, policy: str) -> Scenario:
+    try:
+        return standard_config(
+            args.app, args.trace, duration=args.duration, seed=args.seed,
+            utilization=args.utilization, slo=args.slo,
+            scaling=not args.no_scaling, policy=policy,
+        )
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = _config(args)
-    policy = _make_policy(args.policy, args.seed)
-    result = run_experiment(config, policy)
+    scenario = _scenario(args, args.policy)
+    result = run_scenario(scenario)
     print(f"{args.app} x {args.trace} for {args.duration:.0f}s "
-          f"(base rate ~{config.resolve_base_rate():.0f} req/s)")
+          f"(base rate ~{resolve_base_rate(scenario):.0f} req/s)")
     print(comparison_table({result.policy_name: result},
                            markdown=args.markdown))
     print()
@@ -113,13 +106,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    config = _config(args)
-    results = {}
     names = args.policies.split(",") if args.policies else list(SYSTEM_FACTORIES)
-    for name in names:
-        results[name] = run_experiment(config, _make_policy(name, args.seed))
+    scenarios = {name: _scenario(args, name) for name in names}
+    results = {name: run_scenario(s) for name, s in scenarios.items()}
     print(f"{args.app} x {args.trace} for {args.duration:.0f}s "
-          f"(base rate ~{config.resolve_base_rate():.0f} req/s)")
+          f"(base rate ~{resolve_base_rate(scenarios[names[0]]):.0f} req/s)")
     print(comparison_table(results, markdown=args.markdown))
     print()
     print(per_module_drop_table(results, markdown=args.markdown))

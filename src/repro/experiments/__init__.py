@@ -10,15 +10,11 @@ from .configs import (
     standard_config,
 )
 from .runner import (
-    ExperimentConfig,
     ExperimentResult,
     MultiResult,
     build_cluster,
-    compare_policies,
-    run_experiment,
     run_multi_scenario,
     run_scenario,
-    scenario_config,
 )
 from .scenario import (
     AppSpec,
@@ -52,7 +48,6 @@ __all__ = [
     "AppSpec",
     "BurstSpec",
     "CellResult",
-    "ExperimentConfig",
     "ExperimentResult",
     "MultiResult",
     "MultiScenario",
@@ -69,20 +64,17 @@ __all__ = [
     "all_workloads",
     "build_cluster",
     "cell_fingerprint",
-    "compare_policies",
     "execute_cell",
     "known_policies",
     "load_scenario_file",
     "make_policy",
     "multi_scenario_grid",
     "prune_cache",
-    "run_experiment",
     "run_multi_scenario",
     "run_scenario",
     "run_sweep",
     "scenario_axes",
     "scenario_cells",
-    "scenario_config",
     "scenario_grid",
     "standard_config",
     "summaries_payload",

@@ -13,7 +13,7 @@ from __future__ import annotations
 from ..pipeline.applications import known_applications
 from ..policies.registry import SYSTEM_FACTORIES, known_policies, make_policy
 from ..workload.generators import known_traces
-from .runner import ExperimentConfig
+from .scenario import AppSpec, ScalingSpec, Scenario, TraceSpec
 
 #: The paper's own evaluation grid (the cross product is its 12 workloads).
 #: Registries may hold more — ``standard_config`` accepts anything
@@ -36,15 +36,22 @@ def standard_config(
     app: str,
     trace: str,
     seed: int = 0,
-    base_rate: float = 60.0,
+    base_rate: float | None = None,
     duration: float = 120.0,
-    **overrides,
-) -> ExperimentConfig:
+    *,
+    utilization: float | None = 0.9,
+    slo: float | None = None,
+    scaling: bool = True,
+    **fields,
+) -> Scenario:
     """The scaled-down equivalent of one of the paper's 12 workloads.
 
     Provisioning targets the mean trace rate, so bursts (tweet's 2x step,
     azure's spikes) genuinely exceed capacity — the regime where dropping
-    policies differentiate.
+    policies differentiate.  ``base_rate`` sets the trace rate directly
+    and so needs ``utilization=None``; ``slo`` overrides the application
+    SLO; every other keyword (``policy``, ``workers``, ``stats_window``,
+    ...) is a :class:`Scenario` field.  The result is validated.
     """
     if app not in known_applications():
         raise ValueError(
@@ -54,28 +61,24 @@ def standard_config(
         raise ValueError(
             f"unknown trace {trace!r}; expected one of {known_traces()}"
         )
-    overrides.setdefault("utilization", 0.9)
-    # The paper's testbed scales workers with the request rate (§5.1);
-    # cold starts during bursts are part of the regime being reproduced.
-    overrides.setdefault("scaling", True)
-    return ExperimentConfig(
-        app=app,
-        trace=trace,
+    return Scenario(
+        app=AppSpec(name=app, slo=slo),
+        trace=TraceSpec(name=trace, duration=duration, base_rate=base_rate),
         seed=seed,
-        base_rate=base_rate,
-        duration=duration,
-        **overrides,
-    )
+        utilization=utilization,
+        # The paper's testbed scales workers with the request rate (§5.1);
+        # cold starts during bursts are part of the regime being reproduced.
+        scaling=ScalingSpec(enabled=scaling),
+        **fields,
+    ).validate()
 
 
 def all_workloads(
-    seed: int = 0, base_rate: float = 60.0, duration: float = 120.0
-) -> dict[tuple[str, str], ExperimentConfig]:
+    seed: int = 0, duration: float = 120.0
+) -> dict[tuple[str, str], Scenario]:
     """All 12 (app, trace) combinations of the paper's evaluation."""
     return {
-        (app, trace): standard_config(
-            app, trace, seed=seed, base_rate=base_rate, duration=duration
-        )
+        (app, trace): standard_config(app, trace, seed=seed, duration=duration)
         for app in APPS
         for trace in TRACES
     }

@@ -1,4 +1,4 @@
-"""Experiment harness: one call from (app, trace, policy) to metrics.
+"""Experiment harness: one call from a :class:`Scenario` to metrics.
 
 Rates are expressed per-run rather than hard-coded so benches can scale the
 paper's 64-GPU workloads down to what a CI box simulates in seconds while
@@ -16,33 +16,26 @@ from typing import Callable, Sequence
 
 from ..metrics.analysis import Summary, merge_collectors, summarize
 from ..metrics.collector import MetricsCollector
-from ..metrics.goodput import GoodputReport, GoodputSpec, goodput_report
-from ..pipeline.applications import Application, get_application
-from ..pipeline.profiles import DEFAULT_PROFILES, ProfileRegistry
+from ..metrics.goodput import GoodputReport, goodput_report
+from ..pipeline.profiles import ProfileRegistry
 from ..policies.base import DropPolicy
 from ..policies.registry import make_admission, make_policy
-from ..policies.spec import PolicySpec
 from ..simulation.batching import plan_batch_sizes, provision_workers
 from ..simulation.cluster import Cluster
 from ..simulation.engine import Simulator
-from ..simulation.failures import FailureEvent, FailureInjector
+from ..simulation.failures import FailureInjector
 from ..simulation.rng import RngStreams
-from ..simulation.routing import PathRouter
 from ..simulation.scaling import ReactiveScaler
 from ..simulation.tenancy import SharedCluster, Tenant
-from ..workload.generators import TRACES, get_trace
+from ..workload.generators import TRACES
 from ..workload.replay import ArrivalPump, replay
 from ..workload.source import ArrivalSource
 from ..workload.trace import Trace
-from .scenario import (
-    MultiScenario,
-    Scenario,
-    ScalingSpec,
-    _thaw,
-    freeze_trace_args,
-)
+from .scenario import MultiScenario, ScalingSpec, Scenario, _thaw
 
-PolicyFactory = Callable[[int], DropPolicy]
+#: Trace base rate (req/s) when a scenario declares neither a rate nor a
+#: ``utilization`` to calibrate one.
+DEFAULT_BASE_RATE = 60.0
 
 
 @lru_cache(maxsize=256)
@@ -59,10 +52,10 @@ def _trace_shape_factor(
     as the real one — shape-changing args (a step trace's rate multipliers,
     a tweet burst override) would otherwise skew calibration badly.
     The generator *object* is part of the key so re-registering a new
-    generator under an old name cannot serve a stale shape.  Calibrated
-    configs consult the shape from ``resolve_workers``,
-    ``resolve_base_rate`` *and* ``resolve_trace``; without memoization
-    every call re-simulated the full-duration pilot.
+    generator under an old name cannot serve a stale shape.  A calibrated
+    run consults the shape from both :func:`resolve_base_rate` and
+    :func:`resolve_workers`; without memoization every call re-simulated
+    the full-duration pilot.
     """
     kwargs = {k: _thaw(v) for k, v in args}
     pilot = generator(
@@ -79,145 +72,105 @@ def _trace_shape_factor(
     return shape
 
 
-@dataclass
-class ExperimentConfig:
-    """Everything needed to run one (app, trace, policy) combination."""
+def _trace_shape(scenario: Scenario) -> float:
+    """Mean-rate-to-base-rate factor of the scenario's generator trace.
 
-    app: str  # "tm" | "lv" | "gm" | "da" (or a custom Application)
-    trace: str  # "wiki" | "tweet" | "azure" (or a custom Trace)
-    base_rate: float = 60.0  # trace base rate (req/s)
-    duration: float = 120.0  # trace duration (s)
-    seed: int = 0
-    workers: int | dict[str, int] | None = None  # explicit worker counts
-    utilization: float | None = None  # calibrate base_rate to this load
-    provision_rate: float | None = None  # workers sized for this rate
-    provision_headroom: float = 1.0
-    slo: float | None = None  # override the application SLO
-    sync_interval: float = 1.0
-    stats_window: float = 5.0
-    drain: float = 5.0
-    scaling: bool = False  # enable the reactive scaler with cold starts
-    trace_args: tuple = ()  # frozen (key, value) generator kwargs
-    trace_scale: float = 1.0  # post-generation thinning factor (<= 1)
-    trace_seed: int | None = None  # pin the workload seed (default: seed)
-    custom_app: Application | None = None
-    custom_trace: ArrivalSource | None = None
-    registry: ProfileRegistry = field(default_factory=lambda: DEFAULT_PROFILES)
-
-    def __post_init__(self) -> None:
-        # Normalize generator kwargs to hashable frozen pairs: the memoized
-        # pilot-shape lookup keys on them, and users naturally pass dicts
-        # or list-valued args (a step trace's rates).
-        self.trace_args = freeze_trace_args(self.trace_args)
-
-    def resolve_app(self) -> Application:
-        app = self.custom_app or get_application(self.app)
-        if self.slo is not None:
-            app = Application(spec=app.spec, slo=self.slo)
-        return app
-
-    def resolve_trace(self) -> ArrivalSource:
-        if self.custom_trace is not None:
-            return self.custom_trace
-        trace = get_trace(
-            self.trace, base_rate=self.resolve_base_rate(),
-            duration=self.duration, seed=self._trace_seed(),
-            **{k: _thaw(v) for k, v in self.trace_args},
+    Thinning scales the realized mean rate linearly, so it folds straight
+    into the shape factor — calibration then targets the utilization of
+    the trace actually replayed.
+    """
+    trace = scenario.trace
+    generator = TRACES.get(trace.name)
+    if generator is None:
+        raise KeyError(
+            f"unknown trace {trace.name!r}; known: {sorted(TRACES)}"
         )
-        if self.trace_scale != 1.0:
-            trace = trace.scaled(self.trace_scale)
-        return trace
+    seed = scenario.seed if trace.seed is None else trace.seed
+    return trace.scale * _trace_shape_factor(
+        generator, trace.name, trace.duration, seed, trace.args
+    )
 
-    def _trace_seed(self) -> int:
-        return self.seed if self.trace_seed is None else self.trace_seed
 
-    def resolve_workers(
-        self, trace: ArrivalSource | None = None
-    ) -> int | dict[str, int]:
-        """Explicit worker counts, or a plan provisioned for the trace.
+def resolve_base_rate(scenario: Scenario) -> float:
+    """The trace's base rate, calibrated to ``utilization`` when set.
 
-        ``trace`` lets callers that already built the (possibly composed)
-        trace provision for its actual mean rate instead of regenerating
-        the named base trace.
-        """
-        if self.workers is not None:
-            return self.workers
-        app = self.resolve_app()
-        plan = plan_batch_sizes(app.spec, self.registry, app.slo)
-        if self.utilization is not None:
-            # Calibrated mode: the bottleneck module gets a two-worker pool
-            # at the target utilization; every other module is provisioned
-            # so its own utilization lands just below capacity too, the way
-            # the paper's per-module scaling keeps all modules near their
-            # rate (otherwise drops artificially concentrate at the single
-            # bottleneck).
-            mean_rate = self.resolve_base_rate() * self._trace_shape()
-            out: dict[str, int] = {}
-            for m in app.spec.modules:
-                per_worker = self.registry.get(m.model).throughput(plan[m.id])
-                need = mean_rate / (0.97 * per_worker)
-                out[m.id] = max(1, math.ceil(need))
-            return out
+    The bottleneck module's aggregate throughput defines capacity; the
+    trace's mean-rate-to-base-rate shape factor (measured on a cheap
+    pilot trace) maps capacity to the generator's ``base_rate`` knob.
+    Uncalibrated scenarios use ``trace.base_rate`` (default
+    :data:`DEFAULT_BASE_RATE`).
+    """
+    if scenario.utilization is None:
+        rate = scenario.trace.base_rate
+        return DEFAULT_BASE_RATE if rate is None else rate
+    app = scenario.build_application()
+    registry = scenario.build_registry()
+    plan = plan_batch_sizes(app.spec, registry, app.slo)
+    workers = scenario.workers
+
+    def count(module_id: str) -> int:
+        # Explicit worker counts cap capacity; without any, calibration
+        # assumes the two-worker bottleneck pool resolve_workers builds.
+        if isinstance(workers, dict):
+            return workers[module_id]
+        if isinstance(workers, int):
+            return workers
+        return 2
+
+    capacity = min(
+        count(m.id) * registry.get(m.model).throughput(plan[m.id])
+        for m in app.spec.modules
+    )
+    return capacity * scenario.utilization / _trace_shape(scenario)
+
+
+def resolve_workers(
+    scenario: Scenario, trace: ArrivalSource | None = None
+) -> int | dict[str, int]:
+    """Explicit worker counts, or a plan provisioned for the workload.
+
+    ``trace`` is the steady (burst-free) workload to provision for when
+    neither ``utilization`` nor ``provision_rate`` fixes the rate; it is
+    built from the scenario when omitted.  Bursts stay out of provisioning
+    on purpose: a cluster sized for the burst-inflated mean would de-fang
+    the very overload the scenario declares.
+    """
+    if scenario.workers is not None:
+        return scenario.workers
+    app = scenario.build_application()
+    registry = scenario.build_registry()
+    plan = plan_batch_sizes(app.spec, registry, app.slo)
+    if scenario.utilization is not None:
+        # Calibrated mode: the bottleneck module gets a two-worker pool at
+        # the target utilization; every other module is provisioned so its
+        # own utilization lands just below capacity too, the way the
+        # paper's per-module scaling keeps all modules near their rate
+        # (otherwise drops artificially concentrate at the single
+        # bottleneck).
+        mean_rate = resolve_base_rate(scenario) * _trace_shape(scenario)
+        out: dict[str, int] = {}
+        for m in app.spec.modules:
+            per_worker = registry.get(m.model).throughput(plan[m.id])
+            need = mean_rate / (0.97 * per_worker)
+            out[m.id] = max(1, math.ceil(need))
+        return out
+    rate = scenario.provision_rate
+    if rate is None:
         if trace is None:
-            trace = self.resolve_trace()
-        rate = self.provision_rate or trace.mean_rate
-        return provision_workers(
-            app.spec, self.registry, plan, rate, headroom=self.provision_headroom
-        )
-
-    def resolve_base_rate(self) -> float:
-        """Base rate, calibrated to ``utilization`` of capacity when set.
-
-        The bottleneck module's aggregate throughput defines capacity; the
-        trace's mean-rate-to-base-rate shape factor (measured on a cheap
-        pilot trace) maps capacity to the generator's ``base_rate`` knob.
-        """
-        if self.utilization is None:
-            return self.base_rate
-        app = self.resolve_app()
-        plan = plan_batch_sizes(app.spec, self.registry, app.slo)
-
-        def count(module_id: str) -> int:
-            # Explicit worker counts cap capacity; without any, calibration
-            # assumes the two-worker bottleneck pool resolve_workers builds.
-            if isinstance(self.workers, dict):
-                return self.workers[module_id]
-            if isinstance(self.workers, int):
-                return self.workers
-            return 2
-
-        capacity = min(
-            count(m.id) * self.registry.get(m.model).throughput(plan[m.id])
-            for m in app.spec.modules
-        )
-        shape = self._trace_shape()
-        return capacity * self.utilization / shape
-
-    def _trace_shape(self) -> float:
-        """Mean-rate-to-base-rate factor of the configured trace.
-
-        Thinning scales the realized mean rate linearly, so it folds
-        straight into the shape factor — calibration then targets the
-        utilization of the trace actually replayed.
-        """
-        if self.custom_trace is not None:
-            return 1.0
-        generator = TRACES.get(self.trace)
-        if generator is None:
-            raise KeyError(
-                f"unknown trace {self.trace!r}; known: {sorted(TRACES)}"
+            trace = scenario.trace.build_base(
+                resolve_base_rate(scenario), default_seed=scenario.seed
             )
-        return self.trace_scale * _trace_shape_factor(
-            generator, self.trace, self.duration, self._trace_seed(),
-            self.trace_args,
-        )
+        rate = trace.mean_rate
+    return provision_workers(
+        app.spec, registry, plan, rate, headroom=scenario.provision_headroom
+    )
 
 
 @dataclass
 class ExperimentResult:
-    """Run output: config, policy name, collector and summary."""
+    """Run output: scenario, policy name, collector and summary."""
 
-    config: ExperimentConfig
+    scenario: Scenario
     policy_name: str
     collector: MetricsCollector
     summary: Summary
@@ -227,8 +180,8 @@ class ExperimentResult:
     #: Structured fault timeline (the source of ``failure_log``'s rendered
     #: strings), exportable via ``repro.metrics.export.fault_table``.
     fault_records: list = field(default_factory=list)
-    #: Goodput-under-constraints report; None unless the scenario (or
-    #: caller) declared token-level SLO constraints.
+    #: Goodput-under-constraints report; None unless the scenario declared
+    #: token-level SLO constraints.
     goodput: GoodputReport | None = None
 
     @property
@@ -237,140 +190,57 @@ class ExperimentResult:
 
 
 def build_cluster(
-    config: ExperimentConfig,
+    scenario: Scenario,
     policy: DropPolicy,
     trace: ArrivalSource | None = None,
     lean: bool = False,
-    goodput: GoodputSpec | None = None,
-    router: PathRouter | None = None,
-    resilience: dict | None = None,
 ) -> Cluster:
-    """Construct the provisioned cluster for a config (no trace replayed).
+    """Construct the provisioned cluster for a scenario (no trace replayed).
 
-    ``lean=True`` collects streaming summary counters only (no per-request
-    records) — see :class:`~repro.metrics.collector.MetricsCollector`.
-    ``goodput`` arms the collector's token-SLO counters; ``router``
-    overrides static fan-out at DAG forks; ``resilience`` installs per-hop
-    :class:`~repro.simulation.resilience.HopResilience` policies.
+    The seam for callers that replay by hand or need a live policy object.
+    ``trace`` is the steady workload auto-provisioning sizes workers for
+    (see :func:`resolve_workers`).  ``lean=True`` collects streaming
+    summary counters only (no per-request records) — see
+    :class:`~repro.metrics.collector.MetricsCollector`.  The scenario's
+    goodput constraints, fork router and per-hop resilience are installed;
+    scaling and failures are the caller's to arm.
     """
-    app = config.resolve_app()
-    if trace is None:
-        trace = config.resolve_trace()
-    plan = plan_batch_sizes(app.spec, config.registry, app.slo)
-    workers = config.resolve_workers(trace)
-    sim = Simulator()
+    app = scenario.build_application()
+    registry = scenario.build_registry()
+    plan = plan_batch_sizes(app.spec, registry, app.slo)
+    workers = resolve_workers(scenario, trace)
+    goodput = scenario.goodput
     metrics = (
         MetricsCollector(lean=lean, goodput=goodput)
         if (lean or goodput is not None) else None
     )
     return Cluster(
-        sim=sim,
+        sim=Simulator(),
         app=app,
         policy=policy,
         workers=workers,
-        registry=config.registry,
+        registry=registry,
         batch_plan=plan,
         metrics=metrics,
-        rng=RngStreams(seed=config.seed),
-        sync_interval=config.sync_interval,
-        stats_window=config.stats_window,
-        router=router,
-        resilience=resilience,
-    )
-
-
-def run_experiment(
-    config: ExperimentConfig,
-    policy: DropPolicy | str | PolicySpec,
-    failures: Sequence[FailureEvent] = (),
-    scaling: ScalingSpec | None = None,
-    trace: ArrivalSource | None = None,
-    lean: bool = False,
-    goodput: GoodputSpec | None = None,
-    router: PathRouter | None = None,
-    resilience: dict | None = None,
-) -> ExperimentResult:
-    """Replay the configured trace through a freshly provisioned cluster.
-
-    ``policy`` may be a constructed :class:`DropPolicy`, a registered
-    policy name or a :class:`~repro.policies.spec.PolicySpec`; the latter
-    two are built seeded from ``config.seed`` — the forms sweep workers
-    use, since plain data pickles and closures do not.  ``failures`` are
-    armed before replay; ``scaling`` overrides the bare ``config.scaling``
-    bool with a full :class:`ScalingSpec`; ``trace`` substitutes a
-    pre-built trace (the scenario path's composed workload).  ``lean``
-    keeps summary counters only (identical :class:`Summary`, no
-    per-request records) — for sweeps and benchmarks that never read
-    them.
-    """
-    if isinstance(policy, (str, PolicySpec)):
-        policy = make_policy(policy, config.seed)
-    if trace is None:
-        trace = config.resolve_trace()
-    cluster = build_cluster(
-        config, policy, trace, lean=lean, goodput=goodput, router=router,
-        resilience=resilience,
-    )
-    if scaling is None:
-        scaling = ScalingSpec(enabled=config.scaling)
-    if scaling.enabled:
-        # Field-for-field forwarding: every ScalingSpec knob except the
-        # enable flag is a ReactiveScaler constructor parameter.
-        knobs = {f.name: getattr(scaling, f.name) for f in fields(scaling)
-                 if f.name != "enabled"}
-        ReactiveScaler(cluster, **knobs).start()
-    injector = None
-    if failures:
-        injector = FailureInjector(cluster, events=list(failures))
-        injector.schedule_all()
-    replay(trace, cluster, drain=config.drain)
-    return ExperimentResult(
-        config=config,
-        policy_name=policy.name,
-        collector=cluster.metrics,
-        summary=summarize(cluster.metrics, duration=trace.duration),
-        cluster=cluster,
-        trace=trace,
-        failure_log=list(injector.log) if injector is not None else [],
-        fault_records=list(injector.records) if injector is not None else [],
-        goodput=goodput_report(cluster.metrics, duration=trace.duration),
-    )
-
-
-def scenario_config(scenario: Scenario) -> ExperimentConfig:
-    """The :class:`ExperimentConfig` shim equivalent of a scenario.
-
-    Scenarios are the declarative source of truth; the config is the
-    resolved in-memory build plan the cluster machinery consumes.  Inline
-    pipelines surface as ``custom_app`` here — but unlike user-supplied
-    live objects they originate from plain data, so the scenario they came
-    from still pickles and fingerprints.
-    """
-    app = scenario.build_application()
-    return ExperimentConfig(
-        app=scenario.app.name or app.name,
-        trace=scenario.trace.name,
-        base_rate=(
-            scenario.trace.base_rate
-            if scenario.trace.base_rate is not None else 60.0
-        ),
-        duration=scenario.trace.duration,
-        seed=scenario.seed,
-        workers=scenario.workers,
-        utilization=scenario.utilization,
-        provision_rate=scenario.provision_rate,
-        provision_headroom=scenario.provision_headroom,
-        slo=scenario.app.slo,
+        rng=RngStreams(seed=scenario.seed),
         sync_interval=scenario.sync_interval,
         stats_window=scenario.stats_window,
-        drain=scenario.drain,
-        scaling=scenario.scaling.enabled,
-        trace_args=scenario.trace.args,
-        trace_scale=scenario.trace.scale,
-        trace_seed=scenario.trace.seed,
-        custom_app=None if scenario.app.name is not None else app,
-        registry=scenario.build_registry(),
+        router=(
+            None if scenario.router is None
+            else scenario.router.build(scenario.seed)
+        ),
+        resilience=scenario.resilience_map(),
     )
+
+
+def _start_scaler(
+    cluster: Cluster | SharedCluster, scaling: ScalingSpec
+) -> None:
+    # Field-for-field forwarding: every ScalingSpec knob except the enable
+    # flag is a ReactiveScaler constructor parameter.
+    knobs = {f.name: getattr(scaling, f.name) for f in fields(scaling)
+             if f.name != "enabled"}
+    ReactiveScaler(cluster, **knobs).start()
 
 
 def run_scenario(scenario: Scenario, lean: bool = False) -> ExperimentResult:
@@ -381,33 +251,34 @@ def run_scenario(scenario: Scenario, lean: bool = False) -> ExperimentResult:
     overlays and thinning then compose on top — matching the paper's
     framing, where the cluster is provisioned for the expected workload
     and the burst is the unpredictable event that exceeds it.
-    ``lean`` collects summary counters only (no per-request records).
+    ``lean`` collects summary counters only (identical :class:`Summary`,
+    no per-request records) — for sweeps and benchmarks that never read
+    them.
     """
     scenario.validate()
-    config = scenario_config(scenario)
     base = scenario.trace.build_base(
-        config.resolve_base_rate(), default_seed=scenario.seed
+        resolve_base_rate(scenario), default_seed=scenario.seed
     )
     trace = scenario.trace.overlay(base, default_seed=scenario.seed)
-    if (config.workers is None and config.utilization is None
-            and config.provision_rate is None and base.mean_rate > 0):
-        # Auto-provisioning sizes the cluster for the steady workload;
-        # seeing the burst-inflated mean would de-fang the very overload
-        # the scenario declares.
-        config.provision_rate = base.mean_rate
-    return run_experiment(
-        config,
-        scenario.policy,
-        failures=scenario.failures,
-        scaling=scenario.scaling,
+    policy = make_policy(scenario.policy, scenario.seed)
+    cluster = build_cluster(scenario, policy, base, lean=lean)
+    if scenario.scaling.enabled:
+        _start_scaler(cluster, scenario.scaling)
+    injector = None
+    if scenario.failures:
+        injector = FailureInjector(cluster, events=list(scenario.failures))
+        injector.schedule_all()
+    replay(trace, cluster, drain=scenario.drain)
+    return ExperimentResult(
+        scenario=scenario,
+        policy_name=policy.name,
+        collector=cluster.metrics,
+        summary=summarize(cluster.metrics, duration=trace.duration),
+        cluster=cluster,
         trace=trace,
-        lean=lean,
-        goodput=scenario.goodput,
-        router=(
-            None if scenario.router is None
-            else scenario.router.build(scenario.seed)
-        ),
-        resilience=scenario.resilience_map(),
+        failure_log=list(injector.log) if injector is not None else [],
+        fault_records=list(injector.records) if injector is not None else [],
+        goodput=goodput_report(cluster.metrics, duration=trace.duration),
     )
 
 
@@ -450,7 +321,7 @@ def _tenant_workload(
     (shared-seed-shifted) tenant seed.
     """
     base = scenario.trace.build_base(
-        scenario_config(scenario).base_rate * weight, default_seed=seed
+        resolve_base_rate(scenario) * weight, default_seed=seed
     )
     return base, scenario.trace.overlay(base, default_seed=seed)
 
@@ -544,9 +415,7 @@ def run_multi_scenario(multi: MultiScenario, lean: bool = False) -> MultiResult:
         admission=admission,
     )
     if multi.scaling.enabled:
-        knobs = {f.name: getattr(multi.scaling, f.name)
-                 for f in fields(multi.scaling) if f.name != "enabled"}
-        ReactiveScaler(cluster, **knobs).start()
+        _start_scaler(cluster, multi.scaling)
     injector = None
     if multi.failures:
         injector = FailureInjector(cluster, events=list(multi.failures))
@@ -587,22 +456,3 @@ def run_multi_scenario(multi: MultiScenario, lean: bool = False) -> MultiResult:
         fault_records=list(injector.records) if injector is not None else [],
         goodputs=goodputs,
     )
-
-
-def compare_policies(
-    config: ExperimentConfig,
-    policies: dict[str, PolicyFactory | str | PolicySpec],
-) -> dict[str, ExperimentResult]:
-    """Run the same workload under several policies (fresh cluster each).
-
-    Values may be seed-taking factories, registered policy names or
-    :class:`~repro.policies.spec.PolicySpec` configurations.
-    """
-    results: dict[str, ExperimentResult] = {}
-    for label, factory in policies.items():
-        policy = (
-            factory if isinstance(factory, (str, PolicySpec))
-            else factory(config.seed)
-        )
-        results[label] = run_experiment(config, policy)
-    return results

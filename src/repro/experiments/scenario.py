@@ -10,9 +10,9 @@ configuration and a schedule of
 Everything is plain data: a scenario round-trips through
 ``Scenario.from_dict(s.to_dict())`` (and JSON files), pickles into sweep
 worker processes, and fingerprints stably for the on-disk result cache —
-including synthetic custom pipelines and composed traces, which the old
-``custom_app``/``custom_trace`` live objects could do neither of.  This is
-the deployment-description pattern production serving stacks (Clipper,
+including synthetic custom pipelines and composed traces.  It is the only
+run spec: :func:`~repro.experiments.configs.standard_config` builds one for
+the paper's named workloads.  This is the deployment-description pattern production serving stacks (Clipper,
 Nexus) use, applied to the experiment surface.  Every spec class here is
 a :class:`~repro.speccodec.Spec` whose JSON form is declared field by
 field, so parsing, key checks, coercion and fingerprints live in one
@@ -115,8 +115,7 @@ def _contains_mapping(value: Any) -> bool:
 def freeze_trace_args(args: Any, path: str = "") -> tuple:
     """Validate and freeze generator kwargs into hashable sorted pairs.
 
-    Shared by :class:`TraceSpec` and ``ExperimentConfig`` so the two
-    trace-declaration surfaces enforce one rule set.  Nested mappings are
+    The coercer of :attr:`TraceSpec.args`.  Nested mappings are
     rejected: freezing would mangle them into pair-lists that
     :func:`_thaw` cannot tell apart from genuine nested lists.  Keys that
     collide with the fixed :func:`~repro.workload.generators.get_trace`
@@ -352,9 +351,7 @@ class AppSpec(Spec):
 
     Inline pipelines give ``modules`` (ids, models, DAG edges) plus a
     required ``slo`` and any :class:`~repro.pipeline.profiles.ModelProfile`
-    entries their models need beyond the defaults — the serializable form
-    of what ``ExperimentConfig.custom_app`` used to carry as a live object.
-    In JSON, ``chain`` (an ordered model list) is shorthand for a linear
+    entries their models need beyond the defaults.  In JSON, ``chain`` (an ordered model list) is shorthand for a linear
     pipeline's ``modules``.
     """
 

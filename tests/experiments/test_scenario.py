@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.experiments.runner import run_scenario, scenario_config
+from repro.experiments.runner import resolve_base_rate, run_scenario
 from repro.experiments.scenario import (
     AppSpec,
     BurstSpec,
@@ -211,14 +211,10 @@ class TestValidation:
             full_scenario(failures=(FailureEvent(time=600.0, module_id="m1"),))
 
     def test_reserved_trace_args_rejected(self):
-        from repro.experiments.runner import ExperimentConfig
-
         with pytest.raises(ValueError, match="reserved"):
             TraceSpec(name="poisson", args={"seed": 7})
-        # The config shim enforces the same rule at construction.
         with pytest.raises(ValueError, match="reserved"):
-            ExperimentConfig(app="tm", trace="tweet",
-                             trace_args={"base_rate": 10.0})
+            TraceSpec(name="tweet", args={"base_rate": 10.0})
 
     def test_dict_valued_trace_args_rejected(self):
         with pytest.raises(ValueError, match="nested mappings"):
@@ -337,13 +333,6 @@ class TestValidation:
             Scenario.from_dict({"app": {"name": "tm"},
                                 "failures": [{"module_id": "m1"}]})
 
-    def test_config_trace_args_reject_nested_mappings(self):
-        from repro.experiments.runner import ExperimentConfig
-
-        with pytest.raises(ValueError, match="nested mappings"):
-            ExperimentConfig(app="tm", trace="step",
-                             trace_args={"opts": {"a": 1}})
-
     def test_dict_forms_coerced_at_construction(self):
         s = Scenario(app={"name": "tm"},
                      trace={"name": "poisson", "base_rate": 20,
@@ -434,7 +423,6 @@ class TestResolution:
     def test_named_app_slo_override(self):
         s = Scenario(app=AppSpec(name="lv", slo=0.25))
         assert s.build_application().slo == pytest.approx(0.25)
-        assert scenario_config(s).resolve_app().slo == pytest.approx(0.25)
 
     def test_burst_overlay_raises_windowed_rate(self):
         s = full_scenario()
@@ -462,8 +450,8 @@ class TestResolution:
                             args={"rates": [[0, 1], [5, 4]]}),
             utilization=0.9,
         )
-        flat_rate = scenario_config(flat).resolve_base_rate()
-        stepped_rate = scenario_config(stepped).resolve_base_rate()
+        flat_rate = resolve_base_rate(flat)
+        stepped_rate = resolve_base_rate(stepped)
         # Mean multiplier of the step shape is 2.5x, so the calibrated
         # base rate must drop accordingly.
         assert stepped_rate == pytest.approx(flat_rate / 2.5, rel=0.15)
@@ -478,15 +466,9 @@ class TestResolution:
                         trace=TraceSpec(name="poisson", duration=10.0,
                                         scale=0.5),
                         utilization=0.9)
-        full_rate = scenario_config(full).resolve_base_rate()
-        half_rate = scenario_config(half).resolve_base_rate()
+        full_rate = resolve_base_rate(full)
+        half_rate = resolve_base_rate(half)
         assert half_rate == pytest.approx(2 * full_rate, rel=0.05)
-
-    def test_scenario_config_shim(self):
-        config = scenario_config(full_scenario())
-        assert config.custom_app is not None
-        assert config.trace == "poisson"
-        assert config.seed == 3
 
     def test_pinned_trace_seed_drives_calibration(self):
         """The pilot must measure the workload actually replayed: a
@@ -499,20 +481,19 @@ class TestResolution:
         direct = Scenario(app=AppSpec(name="tm"),
                           trace=TraceSpec(name="tweet", duration=20.0),
                           utilization=0.9, seed=7)
-        assert (scenario_config(pinned).resolve_base_rate()
-                == scenario_config(direct).resolve_base_rate())
+        assert resolve_base_rate(pinned) == resolve_base_rate(direct)
 
 
 class TestExecution:
     def test_build_trace_matches_replayed_trace(self):
         """The spec path (Scenario.build_trace) and the execution path
-        (run_scenario via the config shim) must generate the identical
-        trace — pins the two implementations together."""
+        (run_scenario) must generate the identical trace — pins the two
+        implementations together."""
         import numpy as np
 
         s = full_scenario()
         result = run_scenario(s)
-        spec_trace = s.build_trace(scenario_config(s).resolve_base_rate())
+        spec_trace = s.build_trace(resolve_base_rate(s))
         assert np.array_equal(result.trace.materialize().arrivals,
                               spec_trace.materialize().arrivals)
 
@@ -639,16 +620,6 @@ class TestSweepIntegration:
                                               base_rate=20.0))
             ])[0]
             assert cell_fingerprint(cell) is None
-            # Config cells referencing the same external trace are
-            # equally uncacheable.
-            from repro.experiments.runner import ExperimentConfig
-            from repro.experiments.sweep import SweepCell
-
-            config_cell = SweepCell(
-                config=ExperimentConfig(app="tm", trace=name, workers=1),
-                policy="Naive",
-            )
-            assert cell_fingerprint(config_cell) is None
         finally:
             del TRACES[name]
         cell = scenario_cells([full_scenario()])[0]

@@ -6,8 +6,7 @@ import pickle
 
 import pytest
 
-from repro.experiments.runner import ExperimentConfig
-from repro.experiments.scenario import Scenario
+from repro.experiments.scenario import MultiScenario, Scenario
 from repro.experiments.sweep import (
     CellResult,
     SweepCell,
@@ -18,19 +17,19 @@ from repro.experiments.sweep import (
     summary_table,
     sweep_grid,
 )
-from repro.workload.generators import constant_trace
+
+
+def tiny_scenario(policy: str = "Naive", seed: int = 0, **trace) -> Scenario:
+    return Scenario(
+        app={"name": "tm"}, workers=2, seed=seed, policy=policy,
+        trace={"name": "tweet", "base_rate": 25, "duration": 4.0, **trace},
+    )
 
 
 def tiny_cells(policies=("Naive", "Nexus"), seeds=(0,)) -> list[SweepCell]:
     """Small fixed-worker cells that simulate in well under a second."""
     return [
-        SweepCell(
-            config=ExperimentConfig(
-                app="tm", trace="tweet", base_rate=25, duration=4.0,
-                workers=2, seed=seed,
-            ),
-            policy=policy,
-        )
+        SweepCell(scenario=tiny_scenario(policy, seed))
         for policy in policies
         for seed in seeds
     ]
@@ -65,27 +64,11 @@ class TestFingerprint:
         assert cell_fingerprint(naive) != cell_fingerprint(nexus)
 
     def test_canonical_over_numeric_spelling(self):
-        ints = SweepCell(
-            config=ExperimentConfig(app="tm", trace="tweet", base_rate=25,
-                                    duration=4, workers=2),
-            policy="Naive",
-        )
+        ints = SweepCell(scenario=tiny_scenario(base_rate=25, duration=4))
         floats = SweepCell(
-            config=ExperimentConfig(app="tm", trace="tweet", base_rate=25.0,
-                                    duration=4.0, workers=2),
-            policy="Naive",
+            scenario=tiny_scenario(base_rate=25.0, duration=4.0)
         )
         assert cell_fingerprint(ints) == cell_fingerprint(floats)
-
-    def test_custom_objects_uncacheable(self):
-        cell = SweepCell(
-            config=ExperimentConfig(
-                app="tm", trace="tweet", workers=1,
-                custom_trace=constant_trace(10.0, 2.0),
-            ),
-            policy="Naive",
-        )
-        assert cell_fingerprint(cell) is None
 
 
 class TestDeterminism:
@@ -149,15 +132,6 @@ class TestCache:
         prune_cache(tmp_path, max_bytes=0)
         assert not stale.exists()
 
-    def test_explicit_prune_stale_still_works(self, tmp_path):
-        from repro.experiments.sweep import SweepCache
-
-        stale = tmp_path / ("0" * 16)
-        stale.mkdir()
-        (stale / "dead.pkl").write_bytes(b"old")
-        SweepCache(tmp_path).prune_stale()
-        assert not stale.exists()
-
     def test_events_report_cache_hits(self, tmp_path):
         cells = tiny_cells(policies=("Naive",))
         run_sweep(cells, workers=1, cache_dir=tmp_path)
@@ -168,16 +142,12 @@ class TestCache:
 
 
 class TestCellValidation:
-    def test_needs_exactly_one_of_config_or_scenario(self):
+    def test_needs_exactly_one_of_scenario_or_multi(self):
         with pytest.raises(ValueError, match="exactly one"):
             SweepCell()
+        multi = MultiScenario(tenants=[{"scenario": tiny_scenario()}])
         with pytest.raises(ValueError, match="exactly one"):
-            SweepCell(config=tiny_cells()[0].config, policy="Naive",
-                      scenario=Scenario())
-
-    def test_config_cell_needs_policy(self):
-        with pytest.raises(ValueError, match="policy"):
-            SweepCell(config=tiny_cells()[0].config)
+            SweepCell(scenario=Scenario(), multi=multi)
 
     def test_scenario_cell_rejects_conflicting_policy(self):
         scenario = Scenario(policy="PARD")
@@ -268,10 +238,9 @@ class TestFailureIsolation:
         assert failed.summary is None
 
     def test_execute_cell_never_raises(self):
-        cell = SweepCell(
-            config=ExperimentConfig(app="tm", trace="tweet", workers=1),
-            policy="NoSuchPolicy",
-        )
+        cell = SweepCell(scenario=Scenario(
+            app={"name": "tm"}, workers=1, policy="NoSuchPolicy",
+        ))
         result = execute_cell(cell)
         assert isinstance(result, CellResult)
         assert not result.ok

@@ -92,7 +92,8 @@ class TestFlatMemory:
 
 class TestNoArrivalsError:
     def test_message_reports_name_not_repr(self):
-        from repro.experiments.runner import ExperimentConfig
+        from repro.experiments.runner import resolve_base_rate
+        from repro.experiments.scenario import Scenario
         from repro.workload.generators import TRACES, register_trace
         from repro.workload.trace import Trace
         import numpy as np
@@ -104,11 +105,12 @@ class TestNoArrivalsError:
             return Trace(name, np.empty(0), duration)
 
         try:
-            config = ExperimentConfig(
-                app="lv", trace=name, duration=10.0, utilization=0.9
+            scenario = Scenario(
+                app={"name": "lv"}, utilization=0.9,
+                trace={"name": name, "duration": 10.0},
             )
             with pytest.raises(ValueError) as err:
-                config.resolve_base_rate()
+                resolve_base_rate(scenario)
         finally:
             TRACES.pop(name, None)
         message = str(err.value)
